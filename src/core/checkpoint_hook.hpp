@@ -4,17 +4,19 @@
 // depending on any file format, and robust implements it with a
 // write-ahead journal plus atomic snapshot files (DESIGN.md §9).
 //
-// Threading contract: recordSettled() is called from worker threads as
-// verdicts settle and must be thread-safe; epochBarrier() is called from
-// the coordinating thread strictly between executor barriers, when no
-// worker holds claims and the PkStore counters are exact.
+// Threading contract: recordSettled() / recordSettledRow() are called from
+// worker threads as verdicts settle and must be thread-safe; epochBarrier()
+// is called from the coordinating thread strictly between executor
+// barriers, when no worker holds claims and the PkStore counters are exact.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
 #include "core/pk_store.hpp"
 #include "owl/ids.hpp"
+#include "util/bitset.hpp"
 
 namespace owlcl {
 
@@ -56,6 +58,20 @@ class CheckpointHook {
   /// hot path (implementations keep it to an append + optional fsync).
   virtual void recordSettled(SettledKind kind, ConceptId x, ConceptId y,
                              std::uint64_t epoch) = 0;
+
+  /// A whole row of verdicts settled at once (told seeding, EL routing):
+  /// one ⟨kind, x, y⟩ verdict for every set bit y of `words[0, nwords)`.
+  /// The default reports them through recordSettled() one at a time in
+  /// ascending y, so a hook that only implements the per-verdict call sees
+  /// exactly the stream it would have seen bit by bit. Overrides must keep
+  /// that order and per-verdict meaning; they only batch the I/O.
+  virtual void recordSettledRow(SettledKind kind, ConceptId x,
+                                const std::uint64_t* words, std::size_t nwords,
+                                std::uint64_t epoch) {
+    forEachSetBitInWords(words, nwords, [&](std::size_t y) {
+      recordSettled(kind, x, static_cast<ConceptId>(y), epoch);
+    });
+  }
 
   /// An epoch barrier completed. `capture` materializes the full state
   /// image on demand — implementations that skip this barrier (snapshot

@@ -25,6 +25,14 @@ void ParallelClassifier::settle(SettledKind kind, ConceptId x, ConceptId y) {
                                       epoch_.load(std::memory_order_relaxed));
 }
 
+void ParallelClassifier::settleRow(SettledKind kind, ConceptId x,
+                                   const DynamicBitset& row) {
+  if (config_.checkpoint != nullptr)
+    config_.checkpoint->recordSettledRow(
+        kind, x, row.words(), row.wordCountUsed(),
+        epoch_.load(std::memory_order_relaxed));
+}
+
 void ParallelClassifier::notifyBarrier(std::uint64_t completedCycles,
                                        std::uint64_t completedRounds) {
   // Progress cursor for captureCheckpoint(): always tracked, even without
@@ -354,8 +362,8 @@ void ParallelClassifier::seedTold() {
   // ops per word (claim tested, set K, clear P) — the word-level
   // Algorithm-5-style bulk transition. The diagonal is never seeded (a
   // told equivalence ring puts x into its own closure; X ⊑ X is already
-  // claimed by initPossibleAll). Per-pair journaling only runs when a
-  // checkpoint hook is attached.
+  // claimed by initPossibleAll). Each row is journaled as one row of
+  // per-pair records when a checkpoint hook is attached.
   std::uint64_t seeded = 0;
   for (ConceptId x = 0; x < n; ++x) {
     DynamicBitset& row = closure[x];
@@ -363,10 +371,7 @@ void ParallelClassifier::seedTold() {
     row.reset(x);
     if (row.none()) continue;
     seeded += store_.seedKnownRow(x, row.words(), row.wordCountUsed());
-    if (config_.checkpoint != nullptr)
-      row.forEachSetBit([this, x](std::size_t y) {
-        settle(SettledKind::kSubsumption, x, static_cast<ConceptId>(y));
-      });
+    settleRow(SettledKind::kSubsumption, x, row);
   }
   seeded_ = seeded;
 }
@@ -455,10 +460,7 @@ void ParallelClassifier::routeElFragment(Executor& exec,
     const DynamicBitset& row = krow[x];
     if (row.empty() || row.none()) continue;
     seededK += store_.seedKnownRow(x, row.words(), row.wordCountUsed());
-    if (config_.checkpoint != nullptr)
-      row.forEachSetBit([this, x](std::size_t y) {
-        settle(SettledKind::kSubsumption, x, static_cast<ConceptId>(y));
-      });
+    settleRow(SettledKind::kSubsumption, x, row);
   }
   avoided += seededK;
 
@@ -491,10 +493,7 @@ void ParallelClassifier::routeElFragment(Executor& exec,
       mask.reset(x);
       if (mask.none()) continue;
       avoided += store_.seedNonSubRow(x, mask.words(), mask.wordCountUsed());
-      if (config_.checkpoint != nullptr)
-        mask.forEachSetBit([this, x](std::size_t y) {
-          settle(SettledKind::kNonSubsumption, x, static_cast<ConceptId>(y));
-        });
+      settleRow(SettledKind::kNonSubsumption, x, mask);
     }
   }
 

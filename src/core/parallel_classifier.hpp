@@ -314,6 +314,8 @@ class ParallelClassifier {
 
   // Checkpoint plumbing (no-ops when config_.checkpoint is null).
   void settle(SettledKind kind, ConceptId x, ConceptId y);
+  // One verdict per set bit of `row` (ascending), handed over as one row.
+  void settleRow(SettledKind kind, ConceptId x, const DynamicBitset& row);
   void notifyBarrier(std::uint64_t completedCycles,
                      std::uint64_t completedRounds);
   // Bumps the division-round clock and wakes epoch waiters (waitForPair /

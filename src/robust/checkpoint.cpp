@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -13,6 +12,7 @@
 #include "owl/printer.hpp"
 #include "owl/tbox.hpp"
 #include "robust/fault_injector.hpp"
+#include "util/bitset.hpp"
 #include "util/crc32.hpp"
 
 namespace owlcl {
@@ -99,13 +99,6 @@ bool syncDirectory(const std::string& dir) {
 
 std::size_t wordsPerRow(std::uint64_t conceptCount) {
   return (static_cast<std::size_t>(conceptCount) + 63) / 64;
-}
-
-std::uint64_t popcountWords(const std::vector<std::uint64_t>& words) {
-  std::uint64_t c = 0;
-  for (const std::uint64_t w : words)
-    c += static_cast<std::uint64_t>(std::popcount(w));
-  return c;
 }
 
 // --- word-level bit ops on a serialized matrix image ------------------------
@@ -271,7 +264,8 @@ bool decodeSnapshot(const std::vector<unsigned char>& bytes,
   // Integrity cross-check beyond the CRC: the stored |R_O| must equal an
   // actual popcount of the P words (a snapshot whose counters cannot be
   // reproduced from its own bits is rejected, per the recovery contract).
-  if (popcountWords(img.pWords) != img.possibleCount)
+  if (popcountWords(img.pWords.data(), img.pWords.size()) !=
+      img.possibleCount)
     return fail("snapshot possible-count does not match its P bits");
   for (const ConceptId c : img.unresolvedConcepts)
     if (c >= img.conceptCount)
@@ -510,7 +504,8 @@ bool CheckpointManager::recover(ClassifierCheckpoint* out, std::string* error) {
                              error))
     return false;
   for (const JournalRecord& rec : records) applyRecordToImage(rec, &ckpt.store);
-  ckpt.store.possibleCount = popcountWords(ckpt.store.pWords);
+  ckpt.store.possibleCount =
+      popcountWords(ckpt.store.pWords.data(), ckpt.store.pWords.size());
 
   // Reopen for append: a torn tail is truncated away, so post-resume
   // appends extend the valid prefix the replay just consumed.
@@ -537,6 +532,29 @@ void CheckpointManager::recordSettled(SettledKind kind, ConceptId x,
       CrashInjector::crash();
     }
   }
+}
+
+void CheckpointManager::recordSettledRow(SettledKind kind, ConceptId x,
+                                         const std::uint64_t* words,
+                                         std::size_t nwords,
+                                         std::uint64_t epoch) {
+  const auto e = static_cast<std::uint32_t>(epoch);
+  if (deltaRerun_ && crash_ != nullptr) {
+    // Mid-rerun drill over a row: if the Nth rerun verdict falls inside
+    // it, journal the row only up to and including that verdict — what
+    // recordSettled() would have left durable — and die.
+    std::uint64_t ordinal = rerunVerdicts_.fetch_add(
+        popcountWords(words, nwords), std::memory_order_relaxed);
+    forEachSetBitInWords(words, nwords, [&](std::size_t y) {
+      if (!crash_->crashMidRerunNow(ordinal++)) return;
+      std::vector<std::uint64_t> prefix(words, words + y / 64 + 1);
+      prefix.back() &= ~std::uint64_t{0} >> (63 - y % 64);  // bits <= y
+      journal_.appendRow(kind, x, prefix.data(), prefix.size(), e);
+      journal_.sync();
+      CrashInjector::crash();
+    });
+  }
+  journal_.appendRow(kind, x, words, nwords, e);
 }
 
 void CheckpointManager::epochBarrier(

@@ -116,6 +116,10 @@ class CheckpointManager : public CheckpointHook {
   // CheckpointHook:
   void recordSettled(SettledKind kind, ConceptId x, ConceptId y,
                      std::uint64_t epoch) override;
+  /// One journal write for the whole row (ResultJournal::appendRow).
+  void recordSettledRow(SettledKind kind, ConceptId x,
+                        const std::uint64_t* words, std::size_t nwords,
+                        std::uint64_t epoch) override;
   void epochBarrier(
       const ClassifierProgress& progress,
       const std::function<ClassifierCheckpoint()>& capture) override;
@@ -130,6 +134,7 @@ class CheckpointManager : public CheckpointHook {
   /// Diagnostics for reports and tests.
   std::uint64_t snapshotsWritten() const { return snapshotsWritten_; }
   std::uint64_t journalAppends() const { return journal_.appendCount(); }
+  std::uint64_t journalWrites() const { return journal_.writeCount(); }
   const std::string& lastError() const { return lastError_; }
 
   /// Marks this manager as driving a delta cone rerun (DESIGN.md §14):

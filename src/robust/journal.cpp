@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "robust/fault_injector.hpp"
+#include "util/bitset.hpp"
 #include "util/crc32.hpp"
 
 namespace owlcl {
@@ -176,6 +177,7 @@ bool ResultJournal::open(const std::string& path, std::uint64_t ontologyHash,
   std::lock_guard<std::mutex> lock(mu_);
   fsync_ = fsync;
   appends_ = 0;
+  writes_ = 0;
 
   if (!truncate) {
     // Existing journal: validate the header, then cut a torn/corrupt tail
@@ -225,21 +227,53 @@ void ResultJournal::append(SettledKind kind, ConceptId x, ConceptId y,
   encodeRecord(r, kind, x, y, epoch);
 
   std::lock_guard<std::mutex> lock(mu_);
+  writeRecords(r, 1);
+}
+
+void ResultJournal::appendRow(SettledKind kind, ConceptId x,
+                              const std::uint64_t* words, std::size_t nwords,
+                              std::uint32_t epoch) {
+  // Encoding and CRCs happen outside the lock, into a per-thread buffer
+  // that keeps its capacity across rows.
+  const std::size_t count = popcountWords(words, nwords);
+  if (count == 0) return;
+  thread_local std::vector<unsigned char> buf;
+  buf.resize(count * kRecordBytes);
+  unsigned char* r = buf.data();
+  forEachSetBitInWords(words, nwords, [&](std::size_t y) {
+    encodeRecord(r, kind, x, static_cast<ConceptId>(y), epoch);
+    r += kRecordBytes;
+  });
+
+  std::lock_guard<std::mutex> lock(mu_);
+  writeRecords(buf.data(), count);
+}
+
+void ResultJournal::writeRecords(const unsigned char* buf, std::size_t count) {
   if (fd_ < 0) return;
-  const std::uint64_t ordinal = appends_++;
-  if (crash_ != nullptr && crash_->tornWriteNow(ordinal)) {
-    // Torn write: half the record reaches the disk, then the process
-    // dies. Recovery must refuse to parse the fragment.
-    writeAll(fd_, r, kRecordBytes / 2);
-    ::fdatasync(fd_);
-    CrashInjector::crash();
+  const std::uint64_t first = appends_;
+  appends_ += count;
+  if (crash_ != nullptr) {
+    // Record ordinals drive the drills, so a crash inside a row leaves
+    // exactly what one-record-per-write would have left behind.
+    for (std::size_t i = 0; i < count; ++i) {
+      if (crash_->tornWriteNow(first + i)) {
+        // Torn write: the records before it whole, half of this one, then
+        // the process dies. Recovery must refuse to parse the fragment.
+        writeAll(fd_, buf, i * kRecordBytes + kRecordBytes / 2);
+        ::fdatasync(fd_);
+        CrashInjector::crash();
+      }
+      if (crash_->crashAfterAppendNow(first + i)) {
+        writeAll(fd_, buf, (i + 1) * kRecordBytes);
+        ::fdatasync(fd_);
+        CrashInjector::crash();
+      }
+    }
   }
-  writeAll(fd_, r, kRecordBytes);
+  writeAll(fd_, buf, count * kRecordBytes);
+  ++writes_;
   if (fsync_ == FsyncPolicy::kEveryRecord) ::fdatasync(fd_);
-  if (crash_ != nullptr && crash_->crashAfterAppendNow(ordinal)) {
-    ::fdatasync(fd_);
-    CrashInjector::crash();
-  }
 }
 
 void ResultJournal::sync() {
@@ -250,6 +284,11 @@ void ResultJournal::sync() {
 std::uint64_t ResultJournal::appendCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return appends_;
+}
+
+std::uint64_t ResultJournal::writeCount() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return writes_;
 }
 
 bool ResultJournal::replay(const std::string& path, std::uint64_t ontologyHash,

@@ -13,6 +13,13 @@
 //   records : u8 kind | u8×3 zero | u32 x | u32 y | u32 epoch |
 //             u32 crc(first 16 bytes)          — 20 bytes each
 //
+// Row appends: a row of verdicts settled together (told seeding, EL
+// routing) is encoded into one buffer and handed to the kernel with one
+// write() — the same records, in the same order, as one append per
+// verdict. The crash-drill ordinals still count records, so an injected
+// torn or post-append crash inside a row leaves exactly the bytes the
+// per-record path would have left.
+//
 // Torn-write handling: a record is valid only if it is complete AND its
 // CRC matches; replay stops at the first invalid record, and re-opening
 // for append truncates the file back to the last valid record so new
@@ -71,12 +78,23 @@ class ResultJournal {
   /// Appends one record (thread-safe). Durability per the fsync policy.
   void append(SettledKind kind, ConceptId x, ConceptId y, std::uint32_t epoch);
 
+  /// Appends one ⟨kind, x, y, epoch⟩ record per set bit y of
+  /// `words[0, nwords)`, ascending, with one write() (thread-safe; the row
+  /// is never interleaved with other appends). Durability per the fsync
+  /// policy; the records are byte-identical to appending them one by one.
+  void appendRow(SettledKind kind, ConceptId x, const std::uint64_t* words,
+                 std::size_t nwords, std::uint32_t epoch);
+
   /// Forces buffered records to disk (kEveryBarrier calls this at epoch
   /// barriers; harmless under the other policies).
   void sync();
 
   /// Records appended through this handle (not counting replayed ones).
   std::uint64_t appendCount() const;
+
+  /// write() calls that carried those records: one per append(), one per
+  /// non-empty appendRow().
+  std::uint64_t writeCount() const;
 
   /// Process-death injection for the crash drills (may be null).
   void setCrashInjector(CrashInjector* crash) { crash_ = crash; }
@@ -91,11 +109,15 @@ class ResultJournal {
  private:
   bool writeHeader(std::uint64_t ontologyHash, std::uint64_t seed,
                    std::string* error);
+  /// The one record write path: `count` encoded records from `buf`, with
+  /// the crash-drill ordinals checked per record. Caller holds mu_.
+  void writeRecords(const unsigned char* buf, std::size_t count);
 
   mutable std::mutex mu_;
   int fd_ = -1;
   FsyncPolicy fsync_ = FsyncPolicy::kEveryBarrier;
   std::uint64_t appends_ = 0;
+  std::uint64_t writes_ = 0;
   CrashInjector* crash_ = nullptr;
 };
 

@@ -25,9 +25,7 @@ void DynamicBitset::resetAll() {
 }
 
 std::size_t DynamicBitset::count() const {
-  std::size_t c = 0;
-  for (Word w : words_) c += static_cast<std::size_t>(std::popcount(w));
-  return c;
+  return static_cast<std::size_t>(popcountWords(words_.data(), words_.size()));
 }
 
 bool DynamicBitset::none() const {

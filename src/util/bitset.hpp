@@ -13,6 +13,24 @@
 
 namespace owlcl {
 
+/// Calls fn(i) for every set bit i of the raw words[0, n), ascending: one
+/// load + countr_zero chain per word. Shared by DynamicBitset and the
+/// row-granular journal path, which takes rows as raw words.
+template <class Fn>
+void forEachSetBitInWords(const std::uint64_t* words, std::size_t n, Fn&& fn) {
+  for (std::size_t w = 0; w < n; ++w)
+    for (std::uint64_t v = words[w]; v != 0; v &= v - 1)
+      fn(w * 64 + static_cast<std::size_t>(std::countr_zero(v)));
+}
+
+/// Number of set bits in the raw words[0, n).
+inline std::uint64_t popcountWords(const std::uint64_t* words, std::size_t n) {
+  std::uint64_t c = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    c += static_cast<std::uint64_t>(std::popcount(words[i]));
+  return c;
+}
+
 /// Fixed-capacity dynamic bitset with word-level iteration helpers.
 class DynamicBitset {
  public:
@@ -119,14 +137,7 @@ class DynamicBitset {
   /// AtomicBitMatrix::forEachSetBit.
   template <class Fn>
   void forEachSetBit(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      Word v = words_[w];
-      const std::size_t base = w * kWordBits;
-      while (v != 0) {
-        fn(base + static_cast<std::size_t>(std::countr_zero(v)));
-        v &= v - 1;
-      }
-    }
+    forEachSetBitInWords(words_.data(), words_.size(), fn);
   }
 
  private:

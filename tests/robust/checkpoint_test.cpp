@@ -17,19 +17,13 @@
 #include "gen/generator.hpp"
 #include "gen/mock_reasoner.hpp"
 #include "robust/journal.hpp"
+#include "support/test_dir.hpp"
 #include "util/crc32.hpp"
 
 namespace owlcl {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string tempDir(const char* name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 std::vector<unsigned char> readAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -47,7 +41,7 @@ void writeAll(const std::string& path, const std::vector<unsigned char>& b) {
 // --- journal -----------------------------------------------------------------
 
 TEST(ResultJournal, AppendReplayRoundTrip) {
-  const std::string path = tempDir("jrnl-roundtrip") + "/journal.wal";
+  const std::string path = test::perTestDir() + "/journal.wal";
   ResultJournal j;
   std::string err;
   ASSERT_TRUE(j.open(path, /*hash=*/0xABCD, /*seed=*/7,
@@ -72,13 +66,13 @@ TEST(ResultJournal, AppendReplayRoundTrip) {
 TEST(ResultJournal, MissingFileReplaysEmpty) {
   std::vector<JournalRecord> recs{{SettledKind::kSatTrue, 1, 1, 0}};
   std::string err;
-  EXPECT_TRUE(ResultJournal::replay(tempDir("jrnl-missing") + "/nope.wal",
+  EXPECT_TRUE(ResultJournal::replay(test::perTestDir() + "/nope.wal",
                                     1, 1, &recs, &err));
   EXPECT_TRUE(recs.empty());
 }
 
 TEST(ResultJournal, TornTailIsIgnoredAndTruncatedOnReopen) {
-  const std::string path = tempDir("jrnl-torn") + "/journal.wal";
+  const std::string path = test::perTestDir() + "/journal.wal";
   ResultJournal j;
   std::string err;
   ASSERT_TRUE(j.open(path, 1, 1, FsyncPolicy::kNever, true, &err));
@@ -111,7 +105,7 @@ TEST(ResultJournal, TornTailIsIgnoredAndTruncatedOnReopen) {
 }
 
 TEST(ResultJournal, SingleBitFlipStopsReplayAtThatRecord) {
-  const std::string path = tempDir("jrnl-flip") + "/journal.wal";
+  const std::string path = test::perTestDir() + "/journal.wal";
   ResultJournal j;
   std::string err;
   ASSERT_TRUE(j.open(path, 1, 1, FsyncPolicy::kNever, true, &err));
@@ -131,7 +125,7 @@ TEST(ResultJournal, SingleBitFlipStopsReplayAtThatRecord) {
 }
 
 TEST(ResultJournal, HeaderMismatchRefusesFile) {
-  const std::string path = tempDir("jrnl-hdr") + "/journal.wal";
+  const std::string path = test::perTestDir() + "/journal.wal";
   ResultJournal j;
   std::string err;
   ASSERT_TRUE(j.open(path, /*hash=*/10, /*seed=*/20, FsyncPolicy::kNever,
@@ -276,7 +270,7 @@ TEST(SnapshotCodec, InconsistentPossibleCountIsRejected) {
 }
 
 TEST(SnapshotCodec, FileRoundTripIsAtomic) {
-  const std::string dir = tempDir("snap-file");
+  const std::string dir = test::perTestDir();
   const std::string path = dir + "/ckpt-000000000000.snap";
   const ClassifierCheckpoint ckpt = sampleCheckpoint();
   std::string err;
@@ -360,7 +354,7 @@ TEST(CheckpointManager, CheckpointedRunMatchesPlainRunAndLeavesArtifacts) {
   ParallelClassifier plain(*onto.tbox, clean, cc);
   const ClassificationResult baseline = plain.classify(exec);
 
-  const std::string dir = tempDir("mgr-match");
+  const std::string dir = test::perTestDir();
   CheckpointConfig conf;
   conf.dir = dir;
   CheckpointManager mgr(conf, ontologyContentHash(*onto.tbox), cc.seed);
@@ -439,7 +433,7 @@ TEST(CheckpointManager, ResumeFromMidRunCaptureReproducesTaxonomy) {
 TEST(CheckpointManager, RecoverFallsBackWhenNewestSnapshotIsCorrupt) {
   const GeneratedOntology onto = generateOntology(smallOntology());
   ClassifierConfig cc;
-  const std::string dir = tempDir("mgr-fallback");
+  const std::string dir = test::perTestDir();
   CheckpointConfig conf;
   conf.dir = dir;
   const std::uint64_t hash = ontologyContentHash(*onto.tbox);
@@ -479,7 +473,7 @@ TEST(CheckpointManager, RecoverFallsBackWhenNewestSnapshotIsCorrupt) {
 }
 
 TEST(CheckpointManager, RecoverRefusesWhenEverySnapshotIsCorrupt) {
-  const std::string dir = tempDir("mgr-allbad");
+  const std::string dir = test::perTestDir();
   CheckpointConfig conf;
   conf.dir = dir;
   CheckpointManager mgr(conf, 1, 2);
@@ -505,7 +499,7 @@ TEST(CheckpointManager, RecoverRefusesWhenEverySnapshotIsCorrupt) {
 }
 
 TEST(CheckpointManager, SnapshotCadenceAndPruningHonoured) {
-  const std::string dir = tempDir("mgr-cadence");
+  const std::string dir = test::perTestDir();
   CheckpointConfig conf;
   conf.dir = dir;
   conf.everyRounds = 3;

@@ -12,18 +12,12 @@
 
 #include "owl/parser.hpp"
 #include "robust/checkpoint.hpp"
+#include "support/test_dir.hpp"
 
 namespace owlcl {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string tempDir(const char* name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 DeltaRecord rec(DeltaOpKind kind, std::uint32_t txid, std::string stmt = "",
                 std::uint64_t newHash = 0) {
@@ -36,7 +30,7 @@ DeltaRecord rec(DeltaOpKind kind, std::uint32_t txid, std::string stmt = "",
 }
 
 TEST(DeltaJournal, AppendReplayRoundTrip) {
-  const std::string path = tempDir("dwal-roundtrip") + "/deltas.wal";
+  const std::string path = test::perTestDir() + "/deltas.wal";
   DeltaJournal j;
   std::string err;
   ASSERT_TRUE(j.open(path, /*baseHash=*/0xFEED, /*truncate=*/true, &err))
@@ -66,7 +60,7 @@ TEST(DeltaJournal, AppendReplayRoundTrip) {
 }
 
 TEST(DeltaJournal, MissingFileYieldsZeroRecords) {
-  const std::string path = tempDir("dwal-missing") + "/deltas.wal";
+  const std::string path = test::perTestDir() + "/deltas.wal";
   std::vector<DeltaRecord> out{rec(DeltaOpKind::kBegin, 9)};
   std::string err;
   ASSERT_TRUE(DeltaJournal::replay(path, 1, &out, &err)) << err;
@@ -74,7 +68,7 @@ TEST(DeltaJournal, MissingFileYieldsZeroRecords) {
 }
 
 TEST(DeltaJournal, BaseHashMismatchRefusesToOpenAndReplay) {
-  const std::string path = tempDir("dwal-hash") + "/deltas.wal";
+  const std::string path = test::perTestDir() + "/deltas.wal";
   DeltaJournal j;
   std::string err;
   ASSERT_TRUE(j.open(path, 0x1111, /*truncate=*/true, &err)) << err;
@@ -95,7 +89,7 @@ TEST(DeltaJournal, BaseHashMismatchRefusesToOpenAndReplay) {
 }
 
 TEST(DeltaJournal, TornTailIsIgnoredOnReplayAndTruncatedOnReopen) {
-  const std::string path = tempDir("dwal-torn") + "/deltas.wal";
+  const std::string path = test::perTestDir() + "/deltas.wal";
   DeltaJournal j;
   std::string err;
   ASSERT_TRUE(j.open(path, 7, /*truncate=*/true, &err)) << err;
@@ -160,7 +154,7 @@ void buildBaseTBox(TBox& t) {
 }
 
 TEST(DeltaRecovery, ReplaysCommittedTxnsAndChecksHashes) {
-  const std::string dir = tempDir("dwal-recover");
+  const std::string dir = test::perTestDir();
   const std::string path = dir + "/deltas.wal";
   TBox base;
   buildBaseTBox(base);
@@ -199,7 +193,7 @@ TEST(DeltaRecovery, ReplaysCommittedTxnsAndChecksHashes) {
 }
 
 TEST(DeltaRecovery, HashMismatchInCommitRecordFailsRecovery) {
-  const std::string path = tempDir("dwal-badhash") + "/deltas.wal";
+  const std::string path = test::perTestDir() + "/deltas.wal";
   TBox base;
   buildBaseTBox(base);
   const std::uint64_t baseHash = ontologyContentHash(base);
@@ -218,7 +212,7 @@ TEST(DeltaRecovery, HashMismatchInCommitRecordFailsRecovery) {
 }
 
 TEST(DeltaRecovery, MissingWalIsBaseState) {
-  const std::string path = tempDir("dwal-none") + "/deltas.wal";
+  const std::string path = test::perTestDir() + "/deltas.wal";
   TBox base;
   buildBaseTBox(base);
   DeltaRecovery out;

@@ -17,6 +17,7 @@
 
 #include "gen/generator.hpp"
 #include "owl/printer.hpp"
+#include "support/test_dir.hpp"
 
 #ifndef OWLCL_CLI_PATH
 #error "OWLCL_CLI_PATH must be defined to the owlcl binary path"
@@ -45,10 +46,10 @@ std::string slurp(const std::string& path) {
 
 class KillResumeTest : public ::testing::Test {
  protected:
+  void TearDown() override { fs::remove_all(base_); }
+
   void SetUp() override {
-    base_ = (fs::path(::testing::TempDir()) / "kill-resume").string();
-    fs::remove_all(base_);
-    fs::create_directories(base_);
+    base_ = test::perTestDir();
 
     // A generated ontology big enough that every crash point lands
     // mid-run (a few thousand journal records).

@@ -980,8 +980,11 @@ int cmdClassify(const std::string& path, const Options& o) {
   }
 
   if (checkpoints != nullptr)
-    std::fprintf(stderr, "  checkpoint: %llu journal records, %llu snapshots\n",
+    std::fprintf(stderr,
+                 "  checkpoint: %llu journal records in %llu writes, "
+                 "%llu snapshots\n",
                  static_cast<unsigned long long>(checkpoints->journalAppends()),
+                 static_cast<unsigned long long>(checkpoints->journalWrites()),
                  static_cast<unsigned long long>(
                      checkpoints->snapshotsWritten()));
 
