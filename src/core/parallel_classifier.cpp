@@ -378,9 +378,8 @@ void ParallelClassifier::seedTold() {
 
 void ParallelClassifier::routeElFragment(Executor& exec,
                                          ClassificationResult& result) {
-  // Hybrid EL/tableau routing (DESIGN.md §13). Runs single-threaded
-  // between the genesis barrier and phase 1, except for the saturation
-  // itself which fans out over this run's own workers. Soundness:
+  // Hybrid EL/tableau routing (DESIGN.md §13). Runs on the coordinating
+  // thread between the genesis barrier and phase 1. Soundness:
   //  * the EL sub-ontology E is a subset of O, so every saturation-derived
   //    subsumption / unsatisfiability is entailed by O (monotonicity);
   //  * for *pure* concepts (⊥-module all-EL, mod ⊆ E ⊆ O) the module
@@ -400,19 +399,10 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   if (part.elAxioms == 0) return;  // nothing to route
   if (config_.routeEl == ElRouting::kAuto && !part.majorityEl()) return;
 
-  // Saturate the maximal EL sub-ontology with the ELK-style concurrent
-  // engine, its worker bodies dispatched onto this run's executor. The
-  // tasks report zero cost: saturation time is attributed to the kRouting
-  // cycle entry below (and virtual-time runs stay deterministic).
+  // Saturate the maximal EL sub-ontology once, on this thread. Its time is
+  // the kRouting cycle entry below.
   ElReasoner el(tbox_, part.axiomEl);
-  void* satRun = el.beginConcurrent();
-  for (std::size_t w = 0; w < exec.workers(); ++w)
-    exec.dispatch(w, [&el, satRun]() -> std::uint64_t {
-      el.runConcurrentWorker(satRun);
-      return 0;
-    });
-  exec.barrier();
-  el.endConcurrent(satRun);
+  el.classify();
 
   const std::size_t n = store_.conceptCount();
   std::uint64_t avoided = 0;

@@ -4,6 +4,9 @@
 // hierarchies and transitive roles.
 //
 // Roles in this codebase (DESIGN.md §2):
+//  * router — the parallel classifier's routing phase (DESIGN.md §13)
+//    saturates the maximal EL sub-ontology once, on the coordinating
+//    thread, and seeds the P/K store from the fixpoint;
 //  * cross-check oracle — integration tests compare the tableau reasoner
 //    and the parallel classifier against this saturation on EL ontologies;
 //  * ELK-style comparator for the related-work baseline bench.
@@ -46,25 +49,6 @@ class ElReasoner {
   /// Runs saturation to a fixpoint. Idempotent.
   void classify();
 
-  /// Concurrent saturation in the style of ELK's "concurrent
-  /// classification of EL ontologies" (Kazakov et al., the related work
-  /// the paper cites): workers drain a shared event queue, guarding the
-  /// per-atom subsumer sets and per-role link sets with striped spinlocks.
-  /// Produces exactly the same saturation as classify(). Idempotent.
-  void classifyConcurrent(std::size_t workers);
-
-  /// classifyConcurrent(), split so the worker bodies can run on an
-  /// external execution substrate (the parallel classifier's routing
-  /// phase reuses its own thread pool instead of spawning std::threads).
-  /// Protocol: one beginConcurrent(), then any number of concurrent
-  /// runConcurrentWorker(run) calls — each returns when the saturation
-  /// reaches its fixpoint — then one endConcurrent(run) after all workers
-  /// have returned. beginConcurrent() returns nullptr when the reasoner
-  /// is already classified; the other two are no-ops on nullptr.
-  void* beginConcurrent();
-  void runConcurrentWorker(void* run);
-  void endConcurrent(void* run);
-
   /// After classify(): does `sup` subsume `sub` (i.e. sub ⊑ sup)? O(1).
   bool subsumes(ConceptId sup, ConceptId sub) const;
 
@@ -74,7 +58,7 @@ class ElReasoner {
   /// All named strict subsumers of `sub` (excluding ⊤ and sub itself).
   std::vector<ConceptId> subsumersOf(ConceptId sub) const;
 
-  /// After classify*(): invokes cb(sup, sub) once for every ordered named
+  /// After classify(): invokes cb(sup, sub) once for every ordered named
   /// pair with sup != sub and subsumes(sup, sub) — the full derived
   /// subsumption closure, including the "unsatisfiable sub is under
   /// everything" rows. The router consumes this to bulk-seed the
@@ -135,11 +119,6 @@ class ElReasoner {
 
   Atom freshAtom();
   Atom atomize(ExprId e);  // maps an EL expression to a defined atom
-
-  // Concurrent-saturation worker loop; `run` points at the ConcRun shared
-  // state defined in el_concurrent.cpp (type-erased to keep it out of the
-  // public header).
-  void concurrentWorker(void* run);
 
   void addNf1(Atom a, Atom b);
   void addNf2(Atom a1, Atom a2, Atom b);

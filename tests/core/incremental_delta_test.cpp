@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -492,6 +493,214 @@ TEST(DeltaReclassify, DeltaStormMatchesFromScratchMultiWorker) {
         << "txn " << txn << " diverged from the from-scratch oracle";
   }
 }
+
+
+// --- building an ontology up by deltas -------------------------------------
+// Adds committed one transaction at a time must land on the same taxonomy
+// as classifying the final ontology whole, whatever their order.
+
+/// One transaction that adds `stmts` in order; fails the test on error.
+void commitAdds(DeltaReclassifier& delta, const std::vector<std::string>& stmts) {
+  std::string err;
+  ASSERT_TRUE(delta.beginTxn(&err)) << err;
+  for (const std::string& s : stmts)
+    ASSERT_TRUE(delta.stageAdd(s, &err)) << err << " " << s;
+  DeltaCommitInfo info;
+  ASSERT_TRUE(delta.commitTxn(&info, &err)) << err;
+}
+
+void commitRetract(DeltaReclassifier& delta, const std::string& stmt) {
+  std::string err;
+  ASSERT_TRUE(delta.beginTxn(&err)) << err;
+  ASSERT_TRUE(delta.stageRetract(stmt, &err)) << err;
+  DeltaCommitInfo info;
+  ASSERT_TRUE(delta.commitTxn(&info, &err)) << err;
+}
+
+ConceptId idOf(const DeltaGeneration& gen, const char* name) {
+  return gen.tbox->findConcept(name);
+}
+
+TEST(DeltaReclassify, StepwiseInsertionSplicesIntoHierarchy) {
+  Rig rig(2);
+  parseFunctionalSyntax(R"(
+    Ontology(
+      Declaration(Class(A)) Declaration(Class(B))
+      Declaration(Class(C)) Declaration(Class(D))
+    ))",
+                        rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+
+  for (const char* stmt : {"SubClassOf(C B)", "SubClassOf(D A)",
+                           "SubClassOf(B A)"}) {  // the last splices B
+    commitAdds(*delta, {stmt});
+    const DeltaGeneration gen = delta->generation();
+    const TaxonomyIssues issues = verifyStructure(gen.result->taxonomy);
+    EXPECT_TRUE(issues.ok()) << stmt << "\n" << issues.summary();
+    ASSERT_EQ(rig.generationTaxonomy(*delta),
+              rig.scratchTaxonomy(delta->statements()))
+        << "after " << stmt;
+  }
+  const DeltaGeneration gen = delta->generation();
+  const Taxonomy& tax = gen.result->taxonomy;
+  EXPECT_TRUE(tax.subsumes(idOf(gen, "A"), idOf(gen, "C")));
+  EXPECT_TRUE(tax.subsumes(idOf(gen, "B"), idOf(gen, "C")));
+  EXPECT_FALSE(tax.subsumes(idOf(gen, "B"), idOf(gen, "D")));
+  EXPECT_EQ(delta->deltaEpoch(), 3u);
+}
+
+constexpr const char* kDisjointBase = R"(
+  Ontology(
+    Declaration(Class(P)) Declaration(Class(Q)) Declaration(Class(X))
+    SubClassOf(X P)
+    SubClassOf(X Q)
+  ))";
+
+TEST(DeltaReclassify, AddedDisjointnessMovesConceptToBottom) {
+  Rig rig(2);
+  parseFunctionalSyntax(kDisjointBase, rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+
+  commitAdds(*delta, {"DisjointClasses(P Q)"});
+  const DeltaGeneration gen = delta->generation();
+  EXPECT_EQ(gen.result->taxonomy.nodeOf(idOf(gen, "X")),
+            Taxonomy::kBottomNode);
+  EXPECT_NE(gen.result->taxonomy.nodeOf(idOf(gen, "P")),
+            Taxonomy::kBottomNode);
+  EXPECT_TRUE(gen.classifier->countersConsistent());
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+}
+
+TEST(DeltaReclassify, RetractedDisjointnessRestoresConcept) {
+  Rig rig(2);
+  parseFunctionalSyntax(R"(
+    Ontology(
+      Declaration(Class(P)) Declaration(Class(Q)) Declaration(Class(X))
+      SubClassOf(X P)
+      SubClassOf(X Q)
+      DisjointClasses(P Q)
+    ))",
+                        rig.tbox);
+  rig.classifyBase();
+  ASSERT_EQ(rig.result.taxonomy.nodeOf(rig.tbox.findConcept("X")),
+            Taxonomy::kBottomNode);
+  auto delta = rig.makeDelta();
+
+  commitRetract(*delta, "DisjointClasses(P Q)");
+  const DeltaGeneration gen = delta->generation();
+  const Taxonomy& tax = gen.result->taxonomy;
+  EXPECT_NE(tax.nodeOf(idOf(gen, "X")), Taxonomy::kBottomNode);
+  EXPECT_TRUE(tax.subsumes(idOf(gen, "P"), idOf(gen, "X")));
+  EXPECT_TRUE(tax.subsumes(idOf(gen, "Q"), idOf(gen, "X")));
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+}
+
+TEST(DeltaReclassify, RetractUndoesAddByteForByte) {
+  Rig rig(2);
+  parseFunctionalSyntax(kSmallOntology, rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+  const std::string before = rig.generationTaxonomy(*delta);
+  const std::vector<std::string> stmtsBefore = delta->statements();
+
+  commitAdds(*delta, {"SubClassOf(Course Employee)"});
+  ASSERT_NE(rig.generationTaxonomy(*delta), before);
+  commitRetract(*delta, "SubClassOf(Course Employee)");
+  EXPECT_EQ(delta->statements(), stmtsBefore);
+  EXPECT_EQ(rig.generationTaxonomy(*delta), before);
+  EXPECT_EQ(delta->deltaEpoch(), 2u);
+}
+
+TEST(DeltaReclassify, AddedEquivalenceJoinsClasses) {
+  Rig rig(2);
+  parseFunctionalSyntax(R"(
+    Ontology(
+      Declaration(Class(A)) Declaration(Class(B)) Declaration(Class(C))
+      SubClassOf(C A)
+    ))",
+                        rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+
+  commitAdds(*delta, {"EquivalentClasses(A B)"});
+  const DeltaGeneration gen = delta->generation();
+  const Taxonomy& tax = gen.result->taxonomy;
+  EXPECT_TRUE(tax.equivalent(idOf(gen, "A"), idOf(gen, "B")));
+  EXPECT_TRUE(tax.subsumes(idOf(gen, "B"), idOf(gen, "C")));
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+}
+
+TEST(DeltaReclassify, ReaddingAssertedAxiomLeavesTaxonomyUnchanged) {
+  Rig rig(2);
+  parseFunctionalSyntax(kSmallOntology, rig.tbox);
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+  const std::string before = rig.generationTaxonomy(*delta);
+
+  commitAdds(*delta, {"SubClassOf(Student Person)"});
+  EXPECT_EQ(rig.generationTaxonomy(*delta), before);
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+  EXPECT_TRUE(delta->generation().classifier->countersConsistent());
+}
+
+// Generation 0 holds only the declarations of a generated ontology; its
+// axioms then arrive in a shuffled order, a few per transaction.
+class DeltaInsertOrder : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DeltaInsertOrder, MatchesOracleForAnyOrder) {
+  GenConfig gc;
+  gc.name = "delta-order";
+  gc.concepts = 40;
+  gc.subClassEdges = 60;
+  gc.equivalentAxioms = 4;
+  gc.disjointAxioms = 4;
+  gc.unsatConcepts = 1;
+  gc.seed = 31337;
+  const GeneratedOntology g = generateOntology(gc);
+
+  std::vector<std::string> decls, axioms;
+  for (const std::string& s : statementsFromTBox(*g.tbox))
+    (s.rfind("Declaration(", 0) == 0 ? decls : axioms).push_back(s);
+  ASSERT_FALSE(axioms.empty());
+  std::mt19937_64 rng(GetParam());
+  std::shuffle(axioms.begin(), axioms.end(), rng);
+
+  Rig rig(2);
+  {
+    std::string err;
+    ASSERT_TRUE(buildTBoxFromStatements(decls, rig.tbox, &err)) << err;
+  }
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+  constexpr std::size_t kPerTxn = 8;
+  for (std::size_t i = 0; i < axioms.size(); i += kPerTxn) {
+    const std::size_t end = std::min(axioms.size(), i + kPerTxn);
+    commitAdds(*delta, std::vector<std::string>(axioms.begin() + i,
+                                                axioms.begin() + end));
+  }
+
+  const DeltaGeneration gen = delta->generation();
+  ASSERT_EQ(gen.tbox->conceptCount(), g.tbox->conceptCount());
+  const TaxonomyIssues semantic = verifyAgainstOracle(
+      gen.result->taxonomy, [&g](ConceptId sup, ConceptId sub) {
+        return g.truth.subsumes(sup, sub);
+      });
+  EXPECT_TRUE(semantic.ok()) << "order seed " << GetParam() << "\n"
+                             << semantic.summary();
+  const TaxonomyIssues structure = verifyStructure(gen.result->taxonomy);
+  EXPECT_TRUE(structure.ok()) << structure.summary();
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, DeltaInsertOrder,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace owlcl

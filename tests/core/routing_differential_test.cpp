@@ -2,8 +2,9 @@
 // generated mixed EL/non-EL ontologies, --route-el=on must produce a
 // BYTE-IDENTICAL taxonomy to tableau-only classification — routing is an
 // avoidance layer, never a verdict changer. Runs under TSan via the
-// core_test binary: the routing phase drives the concurrent EL saturation
-// on the classifier's own thread pool, so data races there surface here.
+// core_test binary: the division phases that follow the routing phase run
+// on the classifier's own thread pool, over a store the routing phase
+// seeded, so data races there surface here.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +18,8 @@
 #include "owl/el_fragment.hpp"
 #include "owl/parser.hpp"
 #include "reasoner/tableau_reasoner.hpp"
+#include "simsched/virtual_executor.hpp"
+#include "taxonomy/verify.hpp"
 
 namespace owlcl {
 namespace {
@@ -27,15 +30,13 @@ struct ClassifyRun {
   bool countersOk = false;
 };
 
-ClassifyRun classifyOnce(TBox& tbox, ElRouting routeEl, bool seedTold,
-                 std::size_t workers = 4) {
+ClassifyRun classifyOn(Executor& exec, TBox& tbox, ElRouting routeEl,
+                       bool seedTold) {
   TableauReasoner reasoner(tbox);
   ClassifierConfig cfg;
   cfg.randomCycles = 1;
   cfg.routeEl = routeEl;
   cfg.toldSeeding = seedTold;
-  ThreadPool pool(workers);
-  RealExecutor exec(pool);
   ParallelClassifier classifier(tbox, reasoner, cfg);
   ClassifyRun run;
   run.result = classifier.classify(exec);
@@ -44,6 +45,13 @@ ClassifyRun classifyOnce(TBox& tbox, ElRouting routeEl, bool seedTold,
   run.result.taxonomy.print(tree, tbox);
   run.taxonomy = tree.str();
   return run;
+}
+
+ClassifyRun classifyOnce(TBox& tbox, ElRouting routeEl, bool seedTold,
+                         std::size_t workers = 4) {
+  ThreadPool pool(workers);
+  RealExecutor exec(pool);
+  return classifyOn(exec, tbox, routeEl, seedTold);
 }
 
 /// off vs on vs on+seed-told over one generated ontology: byte-identical
@@ -193,15 +201,120 @@ TEST(RoutingDifferential, AutoRoutesOnlyMajorityElInputs) {
 }
 
 TEST(RoutingDifferential, WorkerCountSweepKeepsParity) {
-  // The saturation runs on the classifier's own pool; parity must hold at
-  // every worker count (and under TSan this sweeps the racy interleavings).
+  // The routed division phases run on the classifier's own pool; parity
+  // must hold at every worker count (and under TSan this sweeps the racy
+  // interleavings).
   const GeneratedOntology g = generateOntology(elHeavy());
   const ClassifyRun base = classifyOnce(*g.tbox, ElRouting::kOff, false, 1);
-  for (std::size_t workers : {1u, 2u, 8u}) {
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn, true, workers);
     ASSERT_EQ(base.taxonomy, on.taxonomy) << "workers=" << workers;
   }
 }
+
+TEST(RoutingDifferential, VirtualExecutorRoutedRunKeepsParity) {
+  // The routing phase on the deterministic virtual-time executor must
+  // byte-match the tableau-only taxonomy taken on real threads.
+  const GeneratedOntology g = generateOntology(elHeavy());
+  const ClassifyRun base = classifyOnce(*g.tbox, ElRouting::kOff, false, 1);
+  VirtualExecutor vexec(4);
+  const ClassifyRun on = classifyOn(vexec, *g.tbox, ElRouting::kOn, false);
+  ASSERT_EQ(base.taxonomy, on.taxonomy);
+  EXPECT_GT(on.result.routedConcepts, 0u);
+  EXPECT_TRUE(on.countersOk);
+}
+
+TEST(RoutingDifferential, HandWrittenRoleBoxOntologyKeepsParity) {
+  // Transitive role, role hierarchy, disjointness and a defined class: the
+  // saturation settles all of it before phase 1, and the routed taxonomy
+  // must still byte-match tableau-only classification.
+  TBox t;
+  parseFunctionalSyntax(R"(
+    Ontology(
+      SubClassOf(A ObjectSomeValuesFrom(r B))
+      SubClassOf(B ObjectSomeValuesFrom(r C))
+      TransitiveObjectProperty(r)
+      SubObjectPropertyOf(r s)
+      SubClassOf(ObjectSomeValuesFrom(s C) D)
+      DisjointClasses(D E)
+      SubClassOf(F D)
+      SubClassOf(F E)
+      EquivalentClasses(G ObjectIntersectionOf(A D))
+    ))",
+                        t);
+  const ClassifyRun off = classifyOnce(t, ElRouting::kOff, false);
+  const ClassifyRun on = classifyOnce(t, ElRouting::kOn, false);
+  ASSERT_EQ(off.taxonomy, on.taxonomy);
+  EXPECT_GT(on.result.routedConcepts, 0u);
+  EXPECT_TRUE(on.countersOk);
+  const Taxonomy& tax = on.result.taxonomy;
+  EXPECT_TRUE(tax.subsumes(t.findConcept("D"), t.findConcept("A")));
+  EXPECT_TRUE(tax.equivalent(t.findConcept("A"), t.findConcept("G")));
+  EXPECT_EQ(tax.nodeOf(t.findConcept("F")), Taxonomy::kBottomNode);
+}
+
+TEST(RoutingDifferential, RepeatedRoutedRunsAreIdentical) {
+  // Fresh TBox and classifier on every run, 1 to 4 workers: the routed
+  // taxonomy is the same bytes each time.
+  std::string first;
+  for (std::size_t run = 0; run < 5; ++run) {
+    TBox t;
+    parseFunctionalSyntax(R"(
+      Ontology(
+        SubClassOf(A ObjectSomeValuesFrom(r A2))
+        SubClassOf(A2 ObjectSomeValuesFrom(r A3))
+        TransitiveObjectProperty(r)
+        SubClassOf(ObjectSomeValuesFrom(r A3) Hit)
+        DisjointClasses(Hit Miss)
+        SubClassOf(Bad Hit)
+        SubClassOf(Bad Miss)
+      ))",
+                          t);
+    const ClassifyRun on = classifyOnce(t, ElRouting::kOn, true, 1 + run % 4);
+    EXPECT_TRUE(on.result.taxonomy.subsumes(t.findConcept("Hit"),
+                                            t.findConcept("A")));
+    EXPECT_EQ(on.result.taxonomy.nodeOf(t.findConcept("Bad")),
+              Taxonomy::kBottomNode);
+    if (run == 0) first = on.taxonomy;
+    ASSERT_EQ(first, on.taxonomy) << "run " << run;
+  }
+}
+
+// Routed classification of fully-EL generated ontologies against the
+// generator's ground truth, over seeds x worker counts.
+class RoutedElSweep : public ::testing::TestWithParam<
+                          std::tuple<std::uint64_t, std::size_t>> {};
+
+TEST_P(RoutedElSweep, MatchesGroundTruthOnGenerated) {
+  const auto [seed, workers] = GetParam();
+  GenConfig cfg;
+  cfg.name = "routed-el";
+  cfg.concepts = 120;
+  cfg.subClassEdges = 200;
+  cfg.existentialAxioms = 60;
+  cfg.equivalentAxioms = 8;
+  cfg.roleHierarchy = true;
+  cfg.transitiveRoles = true;
+  cfg.seed = seed;
+  const GeneratedOntology g = generateOntology(cfg);
+  ASSERT_TRUE(isElTBox(*g.tbox));
+
+  const ClassifyRun on = classifyOnce(*g.tbox, ElRouting::kOn, false, workers);
+  ASSERT_TRUE(on.result.complete());
+  EXPECT_GT(on.result.routedConcepts, 0u);
+  EXPECT_TRUE(on.countersOk);
+  const TaxonomyIssues semantic = verifyAgainstOracle(
+      on.result.taxonomy, [&g](ConceptId sup, ConceptId sub) {
+        return g.truth.subsumes(sup, sub);
+      });
+  EXPECT_TRUE(semantic.ok()) << "seed=" << seed << " workers=" << workers
+                             << "\n" << semantic.summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, RoutedElSweep,
+    ::testing::Combine(::testing::Values(3u, 14u, 159u),
+                       ::testing::Values(1u, 2u, 4u, 8u)));
 
 }  // namespace
 }  // namespace owlcl

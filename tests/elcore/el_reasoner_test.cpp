@@ -4,8 +4,10 @@
 
 #include <vector>
 
+#include "gen/generator.hpp"
 #include "owl/el_fragment.hpp"
 #include "owl/parser.hpp"
+#include "reasoner/tableau_reasoner.hpp"
 
 namespace owlcl {
 namespace {
@@ -271,6 +273,73 @@ TEST(ElReasoner, DeepChainScales) {
   EXPECT_TRUE(f.subs("C100", "C0"));
   EXPECT_FALSE(f.subs("C0", "C200"));
 }
+
+TEST(ElReasoner, MixedRoleBoxOntologyMatchesTableau) {
+  // Transitive role, role hierarchy, disjointness and a defined class in
+  // one ontology: every pair answer must agree with the tableau reasoner,
+  // and classify() must be idempotent.
+  Fixture f(R"(
+    Ontology(
+      SubClassOf(A ObjectSomeValuesFrom(r B))
+      SubClassOf(B ObjectSomeValuesFrom(r C))
+      TransitiveObjectProperty(r)
+      SubObjectPropertyOf(r s)
+      SubClassOf(ObjectSomeValuesFrom(s C) D)
+      DisjointClasses(D E)
+      SubClassOf(F D)
+      SubClassOf(F E)
+      EquivalentClasses(G ObjectIntersectionOf(A D))
+    ))");
+  EXPECT_TRUE(f.subs("D", "A"));  // A -r-> C by transitivity, r ⊑ s
+  EXPECT_TRUE(f.subs("D", "B"));
+  EXPECT_FALSE(f.subs("D", "C"));
+  EXPECT_FALSE(f.sat("F"));
+  EXPECT_TRUE(f.sat("A"));
+  EXPECT_TRUE(f.subs("G", "A"));  // A ⊑ A ⊓ D ≡ G
+  EXPECT_TRUE(f.subs("A", "G"));
+
+  TableauReasoner tableau(f.tbox);
+  const std::size_t n = f.tbox.conceptCount();
+  for (ConceptId x = 0; x < n; ++x) {
+    ASSERT_EQ(f.el->isSatisfiable(x), tableau.isSatisfiable(x))
+        << f.tbox.conceptName(x);
+    for (ConceptId y = 0; y < n; ++y)
+      ASSERT_EQ(f.el->subsumes(x, y), tableau.isSubsumedBy(y, x))
+          << f.tbox.conceptName(y) << " ⊑ " << f.tbox.conceptName(x);
+  }
+
+  f.el->classify();  // no-op on a classified reasoner
+  EXPECT_TRUE(f.subs("D", "A"));
+  EXPECT_FALSE(f.sat("F"));
+}
+
+class ElReasonerGenerated : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ElReasonerGenerated, MatchesGroundTruth) {
+  GenConfig cfg;
+  cfg.name = "el-gen";
+  cfg.concepts = 120;
+  cfg.subClassEdges = 200;
+  cfg.existentialAxioms = 60;
+  cfg.equivalentAxioms = 8;
+  cfg.roleHierarchy = true;
+  cfg.transitiveRoles = true;
+  cfg.seed = GetParam();
+  const GeneratedOntology g = generateOntology(cfg);
+  ASSERT_TRUE(isElTBox(*g.tbox));
+
+  ElReasoner el(*g.tbox);
+  el.classify();
+  const std::size_t n = g.tbox->conceptCount();
+  for (ConceptId x = 0; x < n; ++x)
+    for (ConceptId y = 0; y < n; ++y)
+      ASSERT_EQ(el.subsumes(x, y), g.truth.subsumes(x, y))
+          << g.tbox->conceptName(y) << " ⊑ " << g.tbox->conceptName(x)
+          << " seed=" << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ElReasonerGenerated,
+                         ::testing::Values(3u, 14u, 159u));
 
 }  // namespace
 }  // namespace owlcl

@@ -39,6 +39,39 @@ TEST(ThreadPool, SubmitToTargetsSpecificWorker) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
+TEST(ThreadPool, PinnedTasksRunOnTheirWorkerAndAreNeverStolen) {
+  ThreadPool pool(4);
+  std::vector<std::thread::id> ran(200);
+  for (std::size_t i = 0; i < ran.size(); ++i)
+    pool.submitTo(2, [&ran, i] { ran[i] = std::this_thread::get_id(); });
+  pool.waitIdle();
+  for (std::size_t i = 1; i < ran.size(); ++i) EXPECT_EQ(ran[i], ran[0]);
+  EXPECT_NE(ran[0], std::this_thread::get_id());
+  EXPECT_EQ(pool.stealCount(), 0u);
+}
+
+TEST(ThreadPool, SubmitToKeepsEachProducersOrder) {
+  // Two external producers pin to the same worker concurrently: the
+  // interleaving is free, but each producer's tasks run in its own order.
+  ThreadPool pool(3);
+  std::vector<int> order;  // only worker 1 appends
+  auto produce = [&pool, &order](int base) {
+    for (int i = 0; i < 200; ++i)
+      pool.submitTo(1, [&order, base, i] { order.push_back(base + i); });
+  };
+  std::thread a(produce, 0), b(produce, 1000);
+  a.join();
+  b.join();
+  pool.waitIdle();
+  ASSERT_EQ(order.size(), 400u);
+  int lastA = -1, lastB = 999;
+  for (int v : order) {
+    int& last = v < 1000 ? lastA : lastB;
+    EXPECT_GT(v, last);
+    last = v;
+  }
+}
+
 TEST(ThreadPool, RoundRobinAcrossWorkersCompletes) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
@@ -168,7 +201,6 @@ TEST(ThreadPool, QueueDepthCountsQueuedAndRunning) {
 // loop, so each task can only run via a steal.
 TEST(ThreadPool, StealsDrainABlockedProducersDeque) {
   ThreadPool pool(4);
-  ASSERT_EQ(pool.backend(), PoolBackend::kWorkStealing);
   const int n = 500;
   std::atomic<int> count{0};
   pool.submitTo(0, [&pool, &count] {
@@ -244,53 +276,6 @@ TEST(ThreadPool, ExternalSubmitsSpreadAndComplete) {
     pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
   pool.waitIdle();
   EXPECT_EQ(count.load(), 2000);
-}
-
-// --- legacy mutex backend ----------------------------------------------------
-// bench_scaling compares the two backends, so the mutex pool must keep
-// honouring the full contract.
-
-TEST(ThreadPoolMutexBackend, RunsAllSubmittedTasks) {
-  ThreadPool pool(4, PoolBackend::kMutex);
-  ASSERT_EQ(pool.backend(), PoolBackend::kMutex);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i)
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  pool.waitIdle();
-  EXPECT_EQ(count.load(), 1000);
-  EXPECT_EQ(pool.stealCount(), 0u);  // the mutex pool never steals
-}
-
-TEST(ThreadPoolMutexBackend, SubmitToIsFifo) {
-  ThreadPool pool(3, PoolBackend::kMutex);
-  std::vector<int> order;
-  for (int i = 0; i < 100; ++i)
-    pool.submitTo(1, [&order, i] { order.push_back(i); });
-  pool.waitIdle();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ThreadPoolMutexBackend, ExceptionContainment) {
-  ThreadPool pool(2, PoolBackend::kMutex);
-  std::atomic<int> count{0};
-  pool.submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 10; ++i)
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_THROW(pool.waitIdle(), std::runtime_error);
-  EXPECT_EQ(count.load(), 10);
-  pool.waitIdle();  // exception cleared
-}
-
-TEST(ThreadPoolMutexBackend, TasksMaySubmitMoreTasks) {
-  ThreadPool pool(2, PoolBackend::kMutex);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    for (int i = 0; i < 10; ++i)
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  });
-  pool.waitIdle();
-  EXPECT_EQ(count.load(), 10);
 }
 
 }  // namespace
