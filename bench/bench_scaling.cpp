@@ -168,6 +168,8 @@ RunResult runOnce(const GeneratedOntology& g, std::size_t threads,
       case CycleStats::Phase::kHierarchy:
         out.taxonomyNs += c.elapsedNs;
         break;
+      case CycleStats::Phase::kRouting:  // routing stays off in this bench
+        break;
     }
   }
   return out;

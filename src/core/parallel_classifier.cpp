@@ -647,46 +647,36 @@ void ParallelClassifier::buildHierarchy(Executor& exec,
   const std::size_t n = store_.conceptCount();
   const std::uint64_t t0 = exec.elapsedNs();
 
-  // Divide (Algorithm 4, parallel): snapshot K rows and detect
-  // equivalences; compute each concept's direct subsumees by removing
-  // everything reachable through another known subsumee.
-  std::vector<DynamicBitset> kbits(n);
-  for (ConceptId x = 0; x < n; ++x) {
-    const std::size_t worker = exec.pickWorker(config_.scheduling);
-    exec.dispatch(worker, [this, x, &kbits]() -> std::uint64_t {
-      kbits[x] = store_.knownRowBits(x);
-      return 1000;  // bookkeeping tick; real cost is negligible per row
-    });
-  }
-  exec.barrier();
-
-  // Union-find over mutual known-subsumption (setEquivalentConcept).
-  std::vector<ConceptId> rep(n);
-  for (ConceptId x = 0; x < n; ++x) rep[x] = x;
-  auto find = [&rep](ConceptId x) {
-    while (rep[x] != x) {
-      rep[x] = rep[rep[x]];
-      x = rep[x];
+  // Each divide pass runs as at most one contiguous concept-range task per
+  // worker, then a barrier (DESIGN.md §8): a row takes microseconds, less
+  // than the dispatch and wake-up of a task. rows(lo, hi) handles the rows
+  // of [lo, hi) and returns how many it handled; the task charges a
+  // 1000 ns bookkeeping tick per row.
+  const std::size_t ranges = std::min(exec.workers(), n);
+  auto runPass = [&](auto rows) {
+    for (std::size_t t = 0; t < ranges; ++t) {
+      const std::size_t lo = n * t / ranges, hi = n * (t + 1) / ranges;
+      exec.dispatch(exec.pickWorker(config_.scheduling),
+                    [rows, lo, hi]() -> std::uint64_t {
+                      return 1000 * rows(lo, hi);
+                    });
     }
-    return x;
+    exec.barrier();
   };
-  for (ConceptId x = 0; x < n; ++x) {
-    kbits[x].forEachSetBit([&](std::size_t y) {
-      if (y <= x) return;
-      if (kbits[y].test(x)) {
-        const ConceptId rx = find(x);
-        const ConceptId ry = find(static_cast<ConceptId>(y));
-        if (rx != ry) rep[std::max(rx, ry)] = std::min(rx, ry);
-      }
-    });
-  }
-  // Flatten before the parallel phase: tasks below read rep[] lock-free.
-  for (ConceptId x = 0; x < n; ++x) rep[x] = find(x);
 
-  // Per-class union of member K rows, minus the members themselves.
-  std::vector<std::vector<ConceptId>> members(n);
+  // Divide (Algorithm 4, parallel): snapshot the K rows.
+  std::vector<DynamicBitset> kbits(n);
+  runPass([this, &kbits](std::size_t lo, std::size_t hi) {
+    for (std::size_t x = lo; x < hi; ++x)
+      kbits[x] = store_.knownRowBits(static_cast<ConceptId>(x));
+    return hi - lo;
+  });
+
+  // Equivalence classes over mutual known-subsumption, one node each.
+  std::vector<bool> sat(n);
   for (ConceptId x = 0; x < n; ++x)
-    if (store_.satStatus(x) != SatStatus::kUnsat) members[rep[x]].push_back(x);
+    sat[x] = store_.satStatus(x) != SatStatus::kUnsat;
+  EquivalenceClasses eq = equivalenceClasses(kbits, sat);
 
   // Class-level K adjacency: adj[r] = representatives of classes with at
   // least one member in some member-row of class r. Algorithm 5 pruning
@@ -696,41 +686,41 @@ void ParallelClassifier::buildHierarchy(Executor& exec,
   // subtraction (the pruning invariant guarantees every true subsumee
   // stays reachable through a chain of witnesses).
   std::vector<std::vector<ConceptId>> adj(n);
-  for (ConceptId r = 0; r < n; ++r) {
-    if (members[r].empty() || members[r][0] != r) continue;
-    const std::size_t worker = exec.pickWorker(config_.scheduling);
-    exec.dispatch(worker, [r, &members, &kbits, &adj, &rep, n]() -> std::uint64_t {
-      DynamicBitset k(n);
-      for (ConceptId m : members[r]) k |= kbits[m];
-      for (ConceptId m : members[r]) k.reset(m);
-      std::vector<ConceptId>& out = adj[r];
-      // O(1) bitset membership for the dedup — the linear std::find made
-      // this loop O(deg²) on bushy hierarchies.
-      DynamicBitset seen(n);
+  runPass([&eq, &kbits, &adj, n](std::size_t lo, std::size_t hi) {
+    DynamicBitset k(n), seen(n);
+    std::size_t handled = 0;
+    for (std::size_t r = lo; r < hi; ++r) {
+      if (eq.nodeOfRep[r] == Taxonomy::kNoNode) continue;
+      ++handled;
+      k.resetAll();
+      seen.resetAll();
+      for (ConceptId m : eq.members[r]) k |= kbits[m];
+      for (ConceptId m : eq.members[r]) k.reset(m);
       k.forEachSetBit([&](std::size_t y) {
-        const ConceptId ry = rep[y];
+        const ConceptId ry = eq.rep[y];
         if (ry == r || seen.test(ry)) return;
         seen.set(ry);
-        out.push_back(ry);
+        adj[r].push_back(ry);
       });
-      return 1000;  // bookkeeping tick; real cost is negligible per row
-    });
-  }
-  exec.barrier();
+    }
+    return handled;
+  });
 
   // buildPartialHierarchy (divide): H_r = candidate child classes minus
   // those reachable from another candidate (transitive reduction by DFS).
-  std::vector<DynamicBitset> classK(n);
-  for (ConceptId r = 0; r < n; ++r) {
-    if (members[r].empty() || members[r][0] != r) continue;
-    const std::size_t worker = exec.pickWorker(config_.scheduling);
-    exec.dispatch(worker, [r, &adj, &classK, n]() -> std::uint64_t {
+  std::vector<std::vector<ConceptId>> direct(n);
+  runPass([&eq, &adj, &direct, n](std::size_t lo, std::size_t hi) {
+    DynamicBitset reachable(n);
+    std::vector<ConceptId> stack;
+    std::size_t handled = 0;
+    for (std::size_t r = lo; r < hi; ++r) {
+      if (eq.nodeOfRep[r] == Taxonomy::kNoNode) continue;
+      ++handled;
       const std::vector<ConceptId>& cand = adj[r];
-      DynamicBitset reachable(n);
+      reachable.resetAll();
       if (cand.size() > 1) {
         // DFS from every candidate's children; anything reached is an
         // indirect subsumee of r.
-        std::vector<ConceptId> stack;
         for (ConceptId c : cand)
           for (ConceptId cc : adj[c])
             if (!reachable.test(cc)) {
@@ -748,32 +738,19 @@ void ParallelClassifier::buildHierarchy(Executor& exec,
           }
         }
       }
-      DynamicBitset direct(n);
       for (ConceptId c : cand)
-        if (!reachable.test(c)) direct.set(c);
-      classK[r] = std::move(direct);
-      return 1000;
-    });
-  }
-  exec.barrier();
+        if (!reachable.test(c)) direct[r].push_back(c);
+    }
+    return handled;
+  });
 
   // Conquer (sequential): merge the partial hierarchies into the taxonomy.
-  Taxonomy tax(n);
-  std::vector<Taxonomy::NodeId> nodeOfRep(n, Taxonomy::kNoNode);
-  for (ConceptId r = 0; r < n; ++r) {
-    if (!members[r].empty() && members[r][0] == r)
-      nodeOfRep[r] = tax.addNode(members[r]);
-  }
-  for (ConceptId x = 0; x < n; ++x)
-    if (store_.satStatus(x) == SatStatus::kUnsat) tax.assignToBottom(x);
-  for (ConceptId r = 0; r < n; ++r) {
-    if (nodeOfRep[r] == Taxonomy::kNoNode) continue;
-    classK[r].forEachSetBit([&](std::size_t childRep) {
-      const Taxonomy::NodeId child = nodeOfRep[childRep];
-      if (child != Taxonomy::kNoNode && child != nodeOfRep[r])
-        tax.addEdge(nodeOfRep[r], child);
-    });
-  }
+  Taxonomy& tax = eq.taxonomy;
+  for (ConceptId r = 0; r < n; ++r)
+    for (ConceptId childRep : direct[r]) {
+      const Taxonomy::NodeId child = eq.nodeOfRep[childRep];
+      if (child != Taxonomy::kNoNode) tax.addEdge(eq.nodeOfRep[r], child);
+    }
   tax.finalize();
   result.taxonomy = std::move(tax);
 

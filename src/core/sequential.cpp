@@ -13,39 +13,8 @@ namespace {
 /// (subs[x] has bit y ⟺ y ⊑ x) over the satisfiable concepts.
 Taxonomy taxonomyFromMatrix(std::size_t n, const std::vector<DynamicBitset>& subs,
                             const std::vector<bool>& sat) {
-  // Equivalence classes via mutual subsumption.
-  std::vector<ConceptId> rep(n);
-  for (ConceptId x = 0; x < n; ++x) rep[x] = x;
-  auto find = [&rep](ConceptId x) {
-    while (rep[x] != x) {
-      rep[x] = rep[rep[x]];
-      x = rep[x];
-    }
-    return x;
-  };
-  for (ConceptId x = 0; x < n; ++x) {
-    if (!sat[x]) continue;
-    for (std::size_t y : subs[x].setBits()) {
-      if (y <= x || !sat[y]) continue;
-      if (subs[y].test(x)) {
-        const ConceptId rx = find(x), ry = find(static_cast<ConceptId>(y));
-        if (rx != ry) rep[std::max(rx, ry)] = std::min(rx, ry);
-      }
-    }
-  }
-  for (ConceptId x = 0; x < n; ++x) rep[x] = find(x);
-
-  std::vector<std::vector<ConceptId>> members(n);
-  for (ConceptId x = 0; x < n; ++x)
-    if (sat[x]) members[rep[x]].push_back(x);
-
-  Taxonomy tax(n);
-  std::vector<Taxonomy::NodeId> nodeOfRep(n, Taxonomy::kNoNode);
-  for (ConceptId r = 0; r < n; ++r)
-    if (!members[r].empty() && members[r][0] == r)
-      nodeOfRep[r] = tax.addNode(members[r]);
-  for (ConceptId x = 0; x < n; ++x)
-    if (!sat[x]) tax.assignToBottom(x);
+  EquivalenceClasses eq = equivalenceClasses(subs, sat);
+  auto& [tax, rep, members, nodeOfRep] = eq;
 
   // Direct edges via transitive reduction of the strict relation.
   for (ConceptId r = 0; r < n; ++r) {
@@ -70,7 +39,7 @@ Taxonomy taxonomyFromMatrix(std::size_t n, const std::vector<DynamicBitset>& sub
     }
   }
   tax.finalize();
-  return tax;
+  return std::move(tax);
 }
 
 }  // namespace

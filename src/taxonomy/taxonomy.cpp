@@ -180,4 +180,42 @@ void Taxonomy::writeDot(std::ostream& out, const TBox& tbox) const {
   out << "}\n";
 }
 
+EquivalenceClasses equivalenceClasses(const std::vector<DynamicBitset>& below,
+                                      const std::vector<bool>& sat) {
+  const std::size_t n = below.size();
+  EquivalenceClasses eq;
+  // Union-find; the root of every set is its least member.
+  std::vector<ConceptId>& rep = eq.rep;
+  rep.resize(n);
+  for (ConceptId x = 0; x < n; ++x) rep[x] = x;
+  auto find = [&rep](ConceptId x) {
+    while (rep[x] != x) {
+      rep[x] = rep[rep[x]];
+      x = rep[x];
+    }
+    return x;
+  };
+  for (ConceptId x = 0; x < n; ++x) {
+    if (!sat[x]) continue;
+    below[x].forEachSetBit([&](std::size_t y) {
+      if (y <= x || !sat[y] || !below[y].test(x)) return;
+      const ConceptId rx = find(x), ry = find(static_cast<ConceptId>(y));
+      if (rx != ry) rep[std::max(rx, ry)] = std::min(rx, ry);
+    });
+  }
+  for (ConceptId x = 0; x < n; ++x) rep[x] = find(x);
+
+  eq.members.resize(n);
+  for (ConceptId x = 0; x < n; ++x)
+    if (sat[x]) eq.members[rep[x]].push_back(x);
+
+  eq.taxonomy = Taxonomy(n);
+  eq.nodeOfRep.assign(n, Taxonomy::kNoNode);
+  for (ConceptId r = 0; r < n; ++r)
+    if (!eq.members[r].empty()) eq.nodeOfRep[r] = eq.taxonomy.addNode(eq.members[r]);
+  for (ConceptId x = 0; x < n; ++x)
+    if (!sat[x]) eq.taxonomy.assignToBottom(x);
+  return eq;
+}
+
 }  // namespace owlcl

@@ -10,6 +10,7 @@
 
 #include "owl/ids.hpp"
 #include "owl/tbox.hpp"
+#include "util/bitset.hpp"
 
 namespace owlcl {
 
@@ -82,5 +83,24 @@ class Taxonomy {
   std::vector<NodeId> nodeOf_;
   bool finalized_ = false;
 };
+
+/// The equivalence classes of mutual subsumption (Algorithm 4's
+/// setEquivalentConcept) and their taxonomy nodes: the start every
+/// taxonomy builder shares before its own edge reduction.
+struct EquivalenceClasses {
+  /// One node per class, every unsatisfiable concept at ⊥, no edges yet.
+  Taxonomy taxonomy{0};
+  /// rep[x]: the least concept of x's class.
+  std::vector<ConceptId> rep;
+  /// members[r]: the class represented by r, ascending; empty otherwise.
+  std::vector<std::vector<ConceptId>> members;
+  /// nodeOfRep[r]: r's node; Taxonomy::kNoNode if r represents no class.
+  std::vector<Taxonomy::NodeId> nodeOfRep;
+};
+
+/// below[x] has bit y ⟺ y ⊑ x is known. Concepts with sat[x] false join
+/// no class and go to ⊥.
+EquivalenceClasses equivalenceClasses(const std::vector<DynamicBitset>& below,
+                                      const std::vector<bool>& sat);
 
 }  // namespace owlcl
