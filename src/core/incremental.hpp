@@ -3,12 +3,12 @@
 // DeltaReclassifier — transactional axiom add/retract on top of a
 // *completed* parallel classification: the delta is journaled through a
 // DeltaTxnSink before anything mutates, the affected-concept cone is
-// computed by union-find over told-axiom signatures, the quiescent PkStore
-// image is reopened for the cone only, and the three-phase pipeline reruns
-// on the cone. Commit swaps in the new generation atomically; any failure
-// (rerun incomplete, cancellation, injected fault, sink I/O error) rolls
-// back to the pre-delta generation, which was never touched — rollback is
-// byte-trivial by construction.
+// computed by ⊥-module reachability from the changed axioms, the quiescent
+// PkStore image is reopened for the cone only, and the three-phase
+// pipeline reruns on the cone. Commit swaps in the new generation
+// atomically; any failure (rerun incomplete, cancellation, injected fault,
+// sink I/O error) rolls back to the pre-delta generation, which was never
+// touched — rollback is byte-trivial by construction.
 #pragma once
 
 #include <atomic>
@@ -69,18 +69,24 @@ struct StagedOp {
 bool applyStagedOps(std::vector<std::string>& stmts,
                     const std::vector<StagedOp>& ops, std::string* error);
 
-/// Affected-concept cone of a delta, from union-find over told-axiom
-/// signatures. Precondition: every concept/role name of `oldTbox` maps to
+/// Affected-concept cone of a delta, from ⊥-module reachability
+/// (owl/bot_module.hpp): one fixpoint over the old ∪ new told axioms,
+/// seeded with the changed ones. A concept's subsumers and satisfiability
+/// are decided by its ⊥-module, and a module over the union contains both
+/// the old and the new module, so a concept the fixpoint does not reach
+/// keeps every verdict in its matrix *column* (who subsumes it) and its
+/// sat status. Precondition: every concept/role name of `oldTbox` maps to
 /// the SAME id in `newTbox` (the statement-list discipline guarantees it;
 /// DeltaReclassifier verifies before calling).
 struct ConeResult {
-  /// Concepts whose verdicts may change (new-id space, sorted): members of
-  /// every signature component touched by a changed axiom, plus all
-  /// concepts new in `newTbox`. When `fullCone` is set, every concept.
+  /// Concepts whose verdicts may change (new-id space, sorted): every
+  /// concept whose ⊥-module over old ∪ new reaches a changed axiom, plus
+  /// all concepts new in `newTbox`. Adding or retracting SubClassOf(L P)
+  /// for a leaf L gives {L}. When `fullCone` is set, every concept.
   std::vector<ConceptId> cone;
-  /// A changed axiom (or an axiom sharing a component with one) is not
-  /// grounded (⊥-local), so its effects cannot be confined to its
-  /// component — the whole ontology is the cone.
+  /// The always-module (axioms in every ⊥-module, e.g. with ⊤ on the
+  /// left) reaches a changed axiom, so every module may have changed —
+  /// the whole ontology is the cone.
   bool fullCone = false;
   /// Told axioms in the symmetric difference (by canonical text).
   std::size_t changedAxioms = 0;

@@ -389,8 +389,12 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   // Byte parity with a tableau-only run: seeded K edges are full-closure
   // edges and the taxonomy builder computes direct children by
   // reachability with transitive reduction, exactly as for told seeding.
-  // The resume path never re-routes — a crash mid-seed replays the
-  // journaled records and tableau-tests whatever was not yet seeded.
+  // Every seeded row is first masked with the row's current P words, so
+  // routing settles — and journals — only pairs still open: told-seeded
+  // pairs on a fresh run, and the carried-over verdicts of a delta rerun
+  // (ClassifierConfig::routeElOnResume), are left as they are. A crash
+  // resume never re-routes — it replays the journaled records and
+  // tableau-tests whatever was not yet seeded.
   const std::uint64_t t0 = exec.elapsedNs();
   const std::size_t possibleBefore = store_.remainingPossible();
   const std::uint64_t testsBefore = satTests_.value() + subsTests_.value();
@@ -436,6 +440,26 @@ void ParallelClassifier::routeElFragment(Executor& exec,
     }
   }
 
+  // Masks `row` down to the pairs still open in P_x (P never holds the
+  // diagonal), then settles them with the bulk kernel of `kind` and
+  // journals them as one row. Returns the claims won.
+  std::vector<std::uint64_t> open;
+  const auto settleOpen = [this, &open](SettledKind kind, ConceptId x,
+                                        DynamicBitset& row) -> std::uint64_t {
+    store_.possibleRowWordsInto(x, open);
+    std::uint64_t* words = row.mutableWords();
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < row.wordCountUsed(); ++i)
+      any |= (words[i] &= open[i]);
+    if (any == 0) return 0;
+    const std::size_t won =
+        kind == SettledKind::kSubsumption
+            ? store_.seedKnownRow(x, words, row.wordCountUsed())
+            : store_.seedNonSubRow(x, words, row.wordCountUsed());
+    settleRow(kind, x, row);
+    return won;
+  };
+
   // Positive closure → per-sup K row masks (lazily allocated), applied
   // with the told-seeding bulk kernel. Unsat subs are handled above;
   // forEachSubsumption's contract excludes the diagonal.
@@ -446,12 +470,9 @@ void ParallelClassifier::routeElFragment(Executor& exec,
     krow[sup].set(sub);
   });
   std::uint64_t seededK = 0;
-  for (ConceptId x = 0; x < n; ++x) {
-    const DynamicBitset& row = krow[x];
-    if (row.empty() || row.none()) continue;
-    seededK += store_.seedKnownRow(x, row.words(), row.wordCountUsed());
-    settleRow(SettledKind::kSubsumption, x, row);
-  }
+  for (ConceptId x = 0; x < n; ++x)
+    if (!krow[x].empty())
+      seededK += settleOpen(SettledKind::kSubsumption, x, krow[x]);
   avoided += seededK;
 
   if (allowNegative) {
@@ -470,7 +491,9 @@ void ParallelClassifier::routeElFragment(Executor& exec,
     // Definite non-subsumptions: pure × pure, both satisfiable, not in
     // the derived closure — mask built with the backend's andNot kernel,
     // settled with the bulk negative kernel so the division phases only
-    // ever see pairs with a non-EL side.
+    // ever see pairs with a non-EL side. krow[x] was masked with P above,
+    // but the pairs it lost are closed in P too, so masking this row with
+    // P again drops every subsumption.
     const BitKernels& bk = store_.bitKernels();
     DynamicBitset mask(n);
     for (ConceptId x = 0; x < n; ++x) {
@@ -480,10 +503,7 @@ void ParallelClassifier::routeElFragment(Executor& exec,
                       mask.wordCountUsed());
       else
         mask.assignWords(pureSat.words(), pureSat.wordCountUsed());
-      mask.reset(x);
-      if (mask.none()) continue;
-      avoided += store_.seedNonSubRow(x, mask.words(), mask.wordCountUsed());
-      settleRow(SettledKind::kNonSubsumption, x, mask);
+      avoided += settleOpen(SettledKind::kNonSubsumption, x, mask);
     }
   }
 

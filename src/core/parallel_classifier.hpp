@@ -77,8 +77,8 @@ struct ClassifierConfig {
   /// loops. Sound: every seeded edge is told-entailed (DESIGN.md §10).
   bool toldSeeding = false;
   /// Extension (ROADMAP item 3): hybrid EL/tableau routing. Before phase
-  /// 1, the maximal EL sub-ontology (owl/el_fragment.hpp) is saturated by
-  /// the concurrent EL reasoner on this run's own workers; the derived
+  /// 1, the maximal EL sub-ontology (owl/el_fragment.hpp) is saturated
+  /// once by the EL reasoner on the coordinating thread; the derived
   /// subsumption closure is bulk-seeded into K, definite non-subsumptions
   /// and satisfiability verdicts are recorded for *pure* concepts (whose
   /// ⊥-module is all-EL), and the division phases then only test pairs
@@ -88,10 +88,10 @@ struct ClassifierConfig {
   /// *resumed* store image too. Crash-recovery resumes must keep this off
   /// (routed verdicts were journaled; replay restores them), but a delta
   /// rerun starts from a synthetic checkpoint whose cone rows were never
-  /// routed — routing them here is the EL fast path for cone reruns. The
-  /// seeding primitives are idempotent on partially-settled stores, so
-  /// this is sound either way; the flag only exists to keep recovery
-  /// resumes byte-for-byte on their original journaled path.
+  /// routed — routing them here is the EL fast path for cone reruns.
+  /// Routing masks every row it seeds with P, so it settles only pairs
+  /// still open and is sound either way; the flag only exists to keep
+  /// recovery resumes byte-for-byte on their original journaled path.
   bool routeElOnResume = false;
   /// Group-division dispatch discipline. kSteal (default) hands tasks to
   /// the executor unpinned and lets work-stealing balance them; the

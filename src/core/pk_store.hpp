@@ -224,6 +224,12 @@ class PkStore {
     k_.forEachSetBitInCol(y,
                           [&fn](std::size_t x) { fn(static_cast<ConceptId>(x)); });
   }
+  /// Word-atomic snapshot of P_X into a reusable buffer — EL routing masks
+  /// each row it seeds with it, so it settles only pairs still open.
+  void possibleRowWordsInto(ConceptId x,
+                            std::vector<std::uint64_t>& out) const {
+    p_.rowWordsInto(x, out);
+  }
   std::vector<ConceptId> knownRow(ConceptId x) const { return k_.rowIndices(x); }
   DynamicBitset knownRowBits(ConceptId x) const { return k_.rowSnapshot(x); }
   /// Word-atomic snapshot of K_X into a reusable buffer — the raw material

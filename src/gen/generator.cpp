@@ -195,10 +195,14 @@ GeneratedOntology generateOntology(const GenConfig& cfg) {
 
   // --- inert decorations -------------------------------------------------------
   // Fillers of ∃/≥/≤ must be satisfiable, or the decoration would poison
-  // its host. A deterministic scan finds a satisfiable filler.
+  // its host. A deterministic scan finds a satisfiable filler. When there
+  // is none (an injection hit the backbone root, so every backbone
+  // concept is unsatisfiable), every host is already unsatisfiable and no
+  // filler can change the ground truth: the scan wraps back to `start`.
   auto satConcept = [&](ConceptId start) {
     ConceptId c = start;
-    while (truth.unsat[c]) c = (c + 1) % static_cast<ConceptId>(n);
+    for (std::size_t step = 0; step < n && truth.unsat[c]; ++step)
+      c = (c + 1) % static_cast<ConceptId>(n);
     return c;
   };
   // Subjects for the non-EL decorations (∀ / QCR): uniform by default,

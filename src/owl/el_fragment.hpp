@@ -16,10 +16,10 @@
 //     over them. Positive saturation results are sound for EVERY concept
 //     (monotonicity); purity is what additionally licenses negative
 //     verdicts (non-subsumptions, satisfiability). partitionElFragment
-//     computes purity with a linear-time dangerous-symbol fixpoint over a
-//     per-axiom trigger/signature relation — an over-approximation of
-//     ⊥-locality module reachability that is additive over seed
-//     signatures, so {A,B} both pure ⇒ mod_⊥({A,B}) is all-EL.
+//     computes purity with the ⊥-module reachability fixpoint of
+//     owl/bot_module.hpp, seeded with the non-EL axioms — an
+//     over-approximation that is additive over seed signatures, so
+//     {A,B} both pure ⇒ mod_⊥({A,B}) is all-EL.
 #pragma once
 
 #include <cstdint>

@@ -145,7 +145,8 @@ std::vector<unsigned char> encodeSnapshot(const ClassifierCheckpoint& ckpt,
   out.reserve(64 + 8 * (img.pWords.size() + img.kWords.size() +
                         img.testedWords.size()) +
               img.sat.size() + 20 * img.retries.size());
-  out.insert(out.end(), kSnapMagic, kSnapMagic + 8);
+  out.resize(sizeof kSnapMagic);
+  std::memcpy(out.data(), kSnapMagic, sizeof kSnapMagic);
   putU32(&out, kSnapVersion);
   putU32(&out, 0);  // flags
   putU64(&out, ontologyHash);

@@ -12,6 +12,7 @@
 #include "core/sequential.hpp"
 #include "owl/parser.hpp"
 #include "reasoner/tableau_reasoner.hpp"
+#include "util/strings.hpp"
 
 namespace owlcl {
 namespace {
@@ -142,8 +143,8 @@ TEST(ParallelClassifier, PruningSavesTests) {
 
   // Identical taxonomies...
   for (int i = 0; i < 20; ++i) {
-    const std::string sup = "C" + std::to_string(i);
-    const std::string sub = "C" + std::to_string(i + 1);
+    const std::string sup = strprintf("C%d", i);
+    const std::string sub = strprintf("C%d", i + 1);
     EXPECT_TRUE(r1.taxonomy.subsumes(f1.id(sup.c_str()), f1.id(sub.c_str())));
     EXPECT_TRUE(r2.taxonomy.subsumes(f2.id(sup.c_str()), f2.id(sub.c_str())));
   }

@@ -13,6 +13,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/parallel_classifier.hpp"
@@ -20,6 +21,7 @@
 #include "elcore/el_reasoner.hpp"
 #include "gen/generator.hpp"
 #include "owl/parser.hpp"
+#include "owl/printer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "reasoner/tableau_reasoner.hpp"
 #include "taxonomy/verify.hpp"
@@ -91,37 +93,116 @@ TEST(DeltaStatements, StatementListRoundTripsIriNames) {
 }
 
 // --- affected cone -----------------------------------------------------------
+// The cone is every concept whose ⊥-module over old ∪ new reaches a
+// changed axiom: exact sets, not just membership, so an over-approximation
+// shows up as a failure too.
+
+/// Cone of applying `ops` to the ontology `doc`, as concept names.
+std::vector<std::string> coneOf(const char* doc,
+                                const std::vector<StagedOp>& ops,
+                                ConeResult* full = nullptr) {
+  TBox oldT;
+  parseFunctionalSyntax(doc, oldT);
+  std::vector<std::string> stmts = statementsFromTBox(oldT);
+  std::string err;
+  EXPECT_TRUE(applyStagedOps(stmts, ops, &err)) << err;
+  TBox newT;
+  EXPECT_TRUE(buildTBoxFromStatements(stmts, newT, &err)) << err;
+  const ConeResult cone = computeAffectedCone(oldT, newT);
+  if (full != nullptr) *full = cone;
+  std::vector<std::string> names;
+  for (const ConceptId c : cone.cone) names.push_back(newT.conceptName(c));
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+using Names = std::vector<std::string>;
 
 TEST(DeltaCone, ConeConfinedToSignatureComponent) {
-  TBox oldT;
-  parseFunctionalSyntax(R"(
+  // Adding C ⊑ B changes only C's module: A and B keep their subsumers
+  // (the new pair B ⊒ C lives in column C), and the {X,Y} component shares
+  // no signature with the delta at all.
+  ConeResult cone;
+  EXPECT_EQ(coneOf(R"(
     Ontology(
       Declaration(Class(A)) Declaration(Class(B)) Declaration(Class(C))
       Declaration(Class(X)) Declaration(Class(Y))
       SubClassOf(B A)
       SubClassOf(Y X)
     ))",
-                        oldT);
-  std::vector<std::string> stmts = statementsFromTBox(oldT);
-  std::string err;
-  ASSERT_TRUE(applyStagedOps(stmts, {{true, "SubClassOf(C B)"}}, &err)) << err;
-  TBox newT;
-  ASSERT_TRUE(buildTBoxFromStatements(stmts, newT, &err)) << err;
-
-  const ConeResult cone = computeAffectedCone(oldT, newT);
+                   {{true, "SubClassOf(C B)"}}, &cone),
+            Names{"C"});
   EXPECT_FALSE(cone.fullCone);
   EXPECT_EQ(cone.changedAxioms, 1u);
-  const auto has = [&](const char* name) {
-    const ConceptId id = newT.findConcept(name);
-    return std::find(cone.cone.begin(), cone.cone.end(), id) !=
-           cone.cone.end();
-  };
-  EXPECT_TRUE(has("A"));
-  EXPECT_TRUE(has("B"));
-  EXPECT_TRUE(has("C"));
-  // The {X,Y} component shares no signature with the delta.
-  EXPECT_FALSE(has("X"));
-  EXPECT_FALSE(has("Y"));
+}
+
+TEST(DeltaCone, ExistentialFillerChangeReachesTheSubject) {
+  // E ⊑ ∃r.C puts C in E's module, so a changed C axiom reaches E; D is
+  // only C's told subsumer and F is unrelated.
+  EXPECT_EQ(coneOf(R"(
+    Ontology(
+      Declaration(Class(C)) Declaration(Class(D)) Declaration(Class(E))
+      Declaration(Class(F)) Declaration(Class(G))
+      Declaration(ObjectProperty(r))
+      SubClassOf(C D)
+      SubClassOf(E ObjectSomeValuesFrom(r C))
+      SubClassOf(F D)
+    ))",
+                   {{true, "SubClassOf(C G)"}}),
+            (Names{"C", "E"}));
+}
+
+TEST(DeltaCone, RetractConeIsTheRetractedSubclass) {
+  ConeResult cone;
+  EXPECT_EQ(coneOf(R"(
+    Ontology(
+      Declaration(Class(A)) Declaration(Class(B)) Declaration(Class(C))
+      SubClassOf(B A)
+      SubClassOf(C B)
+    ))",
+                   {{false, "SubClassOf(C B)"}}, &cone),
+            Names{"C"});
+  EXPECT_EQ(cone.changedAxioms, 1u);
+}
+
+TEST(DeltaCone, AddedDisjointnessReachesBothSidesAndTheirSubclasses) {
+  // Disjoint(P, Q) is non-local as soon as P or Q is in a module, so it
+  // reaches P, Q and everything whose module holds either; Z is outside.
+  EXPECT_EQ(coneOf(R"(
+    Ontology(
+      Declaration(Class(P)) Declaration(Class(Q)) Declaration(Class(X))
+      Declaration(Class(Z))
+      SubClassOf(X P)
+      SubClassOf(X Q)
+    ))",
+                   {{true, "DisjointClasses(P Q)"}}),
+            (Names{"P", "Q", "X"}));
+}
+
+TEST(DeltaCone, NewConceptsAreAlwaysInTheCone) {
+  EXPECT_EQ(coneOf(R"(
+    Ontology(
+      Declaration(Class(A)) Declaration(Class(B))
+      SubClassOf(B A)
+    ))",
+                   {{true, "Declaration(Class(N))"},
+                    {true, "SubClassOf(Leaf A)"}}),
+            (Names{"Leaf", "N"}));
+}
+
+TEST(DeltaCone, ChangeReachedFromTheAlwaysModuleForcesFullCone) {
+  // ⊤ ⊑ ∃r.A is in every ⊥-module, so A is in every module signature and
+  // a changed A axiom reaches every concept.
+  ConeResult cone;
+  const Names all = coneOf(R"(
+    Ontology(
+      Declaration(Class(A)) Declaration(Class(B)) Declaration(Class(X))
+      Declaration(ObjectProperty(r))
+      SubClassOf(owl:Thing ObjectSomeValuesFrom(r A))
+    ))",
+                           {{true, "SubClassOf(A B)"}}, &cone);
+  EXPECT_TRUE(cone.fullCone);
+  EXPECT_EQ(all, (Names{"A", "B", "X"}));
 }
 
 TEST(DeltaCone, UngroundedAxiomForcesFullCone) {
@@ -701,6 +782,128 @@ TEST_P(DeltaInsertOrder, MatchesOracleForAnyOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, DeltaInsertOrder,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// --- differential sweep ------------------------------------------------------
+// Random add/retract sequences on generated ontologies with ∃, ∀,
+// equivalence, disjointness and ⊤-subject range axioms, routed, on 1 and
+// 4 workers. Every commit
+// must match a from-scratch classification of the same statements byte
+// for byte — the oracle for the ⊥-module cone and for routing that
+// settles only the reopened pairs.
+class DeltaSweep
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
+};
+
+TEST_P(DeltaSweep, EveryCommitMatchesFromScratch) {
+  const auto [seed, workers] = GetParam();
+  GenConfig gc;
+  gc.name = "sweep";
+  gc.concepts = 36;
+  gc.subClassEdges = 48;
+  gc.existentialAxioms = 10;
+  gc.universalAxioms = 4;
+  gc.equivalentAxioms = 3;
+  gc.disjointAxioms = 3;
+  gc.unsatConcepts = 1;
+  gc.nonElOnLeaves = seed % 2 == 0;  // some seeds keep most concepts pure
+  gc.seed = seed;
+  const GeneratedOntology g = generateOntology(gc);
+
+  ClassifierConfig cfg;
+  cfg.routeEl = ElRouting::kOn;
+  cfg.toldSeeding = seed % 2 == 1;
+  Rig rig(workers, cfg);
+  {
+    std::string err;
+    ASSERT_TRUE(buildTBoxFromStatements(statementsFromTBox(*g.tbox), rig.tbox,
+                                        &err))
+        << err;
+  }
+  rig.classifyBase();
+  auto delta = rig.makeDelta();
+
+  std::vector<std::string> concepts, roles;
+  for (ConceptId c = 0; c < rig.tbox.conceptCount(); ++c)
+    concepts.push_back(fsEntityName(rig.tbox.conceptName(c)));
+  for (RoleId r = 0; r < rig.tbox.roles().size(); ++r)
+    roles.push_back(fsEntityName(rig.tbox.roles().name(r)));
+  std::mt19937_64 rng(seed * 7919 + workers);
+  const auto pick = [&rng](const std::vector<std::string>& v) {
+    return v[rng() % v.size()];
+  };
+
+  std::string err;
+  for (int txn = 0; txn < 8; ++txn) {
+    ASSERT_TRUE(delta->beginTxn(&err)) << err;
+    std::vector<std::string> asserted;
+    for (const std::string& st : delta->statements())
+      if (st.rfind("Declaration(", 0) != 0) asserted.push_back(st);
+    std::ostringstream log;
+    const int ops = 1 + static_cast<int>(rng() % 3);
+    for (int op = 0; op < ops; ++op) {
+      const std::string a = pick(concepts), b = pick(concepts);
+      std::string stmt;
+      bool add = true;
+      switch (rng() % 8) {
+        case 0:
+          if (asserted.empty()) continue;
+          {
+            const std::size_t i = rng() % asserted.size();
+            stmt = asserted[i];
+            asserted.erase(asserted.begin() + static_cast<long>(i));
+          }
+          add = false;
+          break;
+        case 1:
+          stmt = "SubClassOf(" + a + " " + b + ")";
+          break;
+        case 2:
+          stmt = "SubClassOf(" + a + " ObjectSomeValuesFrom(" + pick(roles) +
+                 " " + b + "))";
+          break;
+        case 3:
+          stmt = "SubClassOf(" + a + " ObjectAllValuesFrom(" + pick(roles) +
+                 " " + b + "))";
+          break;
+        case 4:
+          stmt = "EquivalentClasses(" + a + " " + b + ")";
+          break;
+        case 5:
+          stmt = "DisjointClasses(" + a + " " + b + ")";
+          break;
+        case 6:  // a range axiom: in every ⊥-module, so a full cone
+          stmt = "SubClassOf(owl:Thing ObjectAllValuesFrom(" + pick(roles) +
+                 " " + b + "))";
+          break;
+        default: {
+          const std::string leaf =
+              "Leaf" + std::to_string(txn) + "_" + std::to_string(op);
+          ASSERT_TRUE(
+              delta->stageAdd("Declaration(Class(" + leaf + "))", &err))
+              << err;
+          concepts.push_back(leaf);
+          stmt = "SubClassOf(" + leaf + " " + a + ")";
+          break;
+        }
+      }
+      log << (add ? "+ " : "- ") << stmt << "\n";
+      ASSERT_TRUE(add ? delta->stageAdd(stmt, &err)
+                      : delta->stageRetract(stmt, &err))
+          << err << " " << stmt;
+    }
+    DeltaCommitInfo info;
+    ASSERT_TRUE(delta->commitTxn(&info, &err)) << err << "\n" << log.str();
+    EXPECT_TRUE(delta->generation().classifier->countersConsistent());
+    ASSERT_EQ(rig.generationTaxonomy(*delta),
+              rig.scratchTaxonomy(delta->statements()))
+        << "txn " << txn << " (cone " << info.coneSize << ") diverged:\n"
+        << log.str();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeltaSweep,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 4),
+                                            ::testing::Values(1, 4)));
 
 }  // namespace
 }  // namespace owlcl

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel_classifier.hpp"
+#include "core/real_executor.hpp"
 #include "elcore/el_reasoner.hpp"
 #include "gen/mock_reasoner.hpp"
 #include "owl/metrics.hpp"
+#include "owl/printer.hpp"
+#include "parallel/thread_pool.hpp"
 #include "reasoner/tableau_reasoner.hpp"
+#include "taxonomy/verify.hpp"
 
 namespace owlcl {
 namespace {
@@ -163,6 +168,137 @@ TEST_P(GeneratorElTest, ElReasonerAgreesWithGroundTruth) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorElTest,
                          ::testing::Values(4, 9, 16, 25, 36));
+
+// perfbench's input shapes (perfbench/harness/workloads.cpp), copied so
+// the generator's own tests pin what the benchmark generates.
+GenConfig elShape(std::size_t concepts, std::uint64_t seed) {
+  GenConfig cfg;
+  cfg.name = "perf-el";
+  cfg.concepts = concepts;
+  cfg.subClassEdges = concepts * 370 / 280;
+  cfg.roles = 6;
+  cfg.existentialAxioms = concepts * 60 / 280;
+  cfg.universalAxioms = 2;
+  cfg.equivalentAxioms = 4;
+  cfg.disjointAxioms = 2;
+  cfg.unsatConcepts = 3;
+  cfg.nonElOnLeaves = true;
+  cfg.roleHierarchy = true;
+  cfg.transitiveRoles = true;
+  cfg.attachmentBias = 0.8;
+  cfg.seed = seed;
+  return cfg;
+}
+
+GenConfig expressiveShape(std::size_t concepts, std::uint64_t seed) {
+  GenConfig cfg;
+  cfg.name = "perf-expr";
+  cfg.concepts = concepts;
+  cfg.subClassEdges = concepts * 260 / 180;
+  cfg.roles = 6;
+  cfg.existentialAxioms = concepts * 90 / 180;
+  cfg.universalAxioms = concepts * 40 / 180;
+  cfg.equivalentAxioms = 4;
+  cfg.disjointAxioms = 2;
+  cfg.unsatConcepts = 3;
+  cfg.roleHierarchy = true;
+  cfg.transitiveRoles = true;
+  cfg.attachmentBias = 0.8;
+  cfg.seed = seed;
+  return cfg;
+}
+
+GenConfig qcrShape(std::uint64_t seed) {
+  GenConfig cfg;
+  cfg.name = "pin-qcr";
+  cfg.concepts = 120;
+  cfg.subClassEdges = 170;
+  cfg.existentialAxioms = 40;
+  cfg.universalAxioms = 15;
+  cfg.qcrAxioms = 24;
+  cfg.qcrBundle = 3;
+  cfg.equivalentAxioms = 5;
+  cfg.disjointAxioms = 6;
+  cfg.annotationAxioms = 10;
+  cfg.unsatConcepts = 4;
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// FNV-1a 64 of the rendered functional-syntax document.
+std::uint64_t renderedHash(const GenConfig& cfg) {
+  const GeneratedOntology g = generateOntology(cfg);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char ch : toFunctionalSyntaxDocument(*g.tbox)) {
+    h ^= ch;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Every seed keeps generating the same ontology byte for byte. The hashes
+// were taken before the all-unsatisfiable-backbone fix (see the next
+// test), so they also pin that the fix changed no seed that terminated.
+TEST(Generator, RenderedTextIsPinnedPerSeed) {
+  struct Pin {
+    GenConfig cfg;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {elShape(280, 1), 0x739972436695fea4ull},
+      {elShape(280, 2), 0x4567515af28f6d05ull},
+      {elShape(280, 3), 0xfbd3c2ac3e04db3aull},
+      {elShape(280, 4), 0x3c11d84846229f30ull},
+      {elShape(280, 5), 0xbe141c1417c3b03aull},
+      {elShape(280, 6), 0x47b6ccfd4426e1f0ull},
+      {elShape(280, 7), 0x1ede1327bfc79174ull},
+      {elShape(280, 8), 0x64b8a3ab25c7b9faull},
+      {elShape(280, 934), 0x9f22574577cca443ull},
+      {elShape(280, 936), 0x22d05de362d6a3c0ull},
+      {expressiveShape(180, 1), 0x8ede092da6bb5beeull},
+      {expressiveShape(180, 2), 0x9fec1f899558d694ull},
+      {expressiveShape(180, 3), 0x69b5eee222cd35d4ull},
+      {expressiveShape(180, 4), 0x33d121d01b04b34full},
+      {expressiveShape(180, 5), 0x792418e4f0a400bfull},
+      {expressiveShape(180, 6), 0x4702156649e84c00ull},
+      {expressiveShape(180, 7), 0x1d0029c765cf9edeull},
+      {expressiveShape(180, 8), 0x944a77626cee32abull},
+      {expressiveShape(180, 66), 0x582e6022a745b970ull},
+      {expressiveShape(180, 68), 0x10067cdc5f324cbaull},
+      {qcrShape(1), 0xbffc082669be0b20ull},
+      {qcrShape(2), 0x4d246ec7bf9ef7eeull},
+      {qcrShape(3), 0xe0c3276d958bffa5ull},
+      {qcrShape(4), 0xa4140abc64a9f7e6ull},
+  };
+  for (const Pin& p : pins)
+    EXPECT_EQ(renderedHash(p.cfg), p.hash)
+        << p.cfg.name << " seed " << p.cfg.seed;
+}
+
+// An unsatisfiable-concept injection on the backbone root makes every
+// backbone concept unsatisfiable, leaving no satisfiable ∃/QCR filler.
+// Generation must still terminate, and the ontology must classify to its
+// ground truth.
+TEST(Generator, AllUnsatisfiableBackboneTerminatesAndMatchesTruth) {
+  for (const GenConfig& cfg : {elShape(280, 935), expressiveShape(180, 67)}) {
+    const GeneratedOntology g = generateOntology(cfg);
+    EXPECT_FALSE(g.truth.satisfiable(0)) << cfg.name << ": root stays unsat";
+    ClassifierConfig config;
+    config.routeEl = ElRouting::kAuto;
+    TableauReasoner reasoner(*g.tbox);
+    ParallelClassifier classifier(*g.tbox, reasoner, config);
+    ThreadPool pool(2);
+    RealExecutor exec(pool);
+    const ClassificationResult r = classifier.classify(exec);
+    ASSERT_TRUE(r.complete()) << cfg.name;
+    const TaxonomyIssues issues =
+        verifyAgainstOracle(r.taxonomy, [&g](ConceptId sup, ConceptId sub) {
+          return g.truth.subsumes(sup, sub);
+        });
+    EXPECT_TRUE(issues.ok()) << cfg.name << " seed " << cfg.seed << "\n"
+                             << issues.summary();
+  }
+}
 
 TEST(MockReasoner, AnswersFromGroundTruth) {
   GenConfig cfg;

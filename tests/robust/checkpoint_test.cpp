@@ -209,6 +209,22 @@ TEST(SnapshotCodec, EncodeDecodeRoundTrip) {
   expectEqual(ckpt, back);
 }
 
+// The wire format is pinned byte for byte: the size and an FNV-1a 64
+// hash of the encoding of sampleCheckpoint(), taken from the encoder as
+// it was before its header write changed from a vector insert to
+// resize + memcpy.
+TEST(SnapshotCodec, EncodingIsPinned) {
+  const std::vector<unsigned char> bytes =
+      encodeSnapshot(sampleCheckpoint(), 0xFEED, 99);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 3622u);
+  EXPECT_EQ(h, 0x59992228c2bf8791ULL);
+}
+
 TEST(SnapshotCodec, EverySingleBitFlipIsRejected) {
   // A small image keeps the exhaustive sweep cheap: every bit of the file
   // is covered by the CRC (or breaks the magic), so every flip must fail.

@@ -111,7 +111,7 @@ TEST(SnapshotDiffTest, ChainEquivalenceUnsatAndEscapedNames) {
 TEST(SnapshotDiffTest, DiamondMultiParent) {
   TBox tbox;
   for (int i = 0; i < 6; ++i)
-    tbox.declareConcept("D" + std::to_string(i));
+    tbox.declareConcept(strprintf("D%d", i));
   Taxonomy tax(6);
   const auto a = tax.addNode({0});
   const auto b = tax.addNode({1});
@@ -137,7 +137,7 @@ TEST(SnapshotDiffTest, RandomDagsMatchWalkExactly) {
     const std::size_t concepts = 50 + seed * 7;
     TBox tbox;
     for (std::size_t i = 0; i < concepts; ++i)
-      tbox.declareConcept("C" + std::to_string(i));
+      tbox.declareConcept(strprintf("C%zu", i));
 
     Taxonomy tax(concepts);
     std::vector<ConceptId> ids(concepts);
