@@ -173,15 +173,17 @@ class CrashInjector {
 // --- serving-path fault points (src/serve) -----------------------------------
 // Deterministic faults injected into the long-lived server's query path —
 // the chaos-drill knobs behind `owlcl serve --inject-serve-faults=...`.
-// Query ordinals count admitted queries in processing order.
+// Query ordinals count answered read queries in answer order, whether a
+// query worker or the connection thread (inline snapshot reads) answered.
 
 struct ServeFaultPlan {
-  /// Every Nth admitted query (1-based; 0 = off) throws std::runtime_error
-  /// inside the query worker — the server must contain it, answer an
-  /// explicit error, and keep serving.
+  /// Every Nth answered read query (1-based; 0 = off) throws
+  /// std::runtime_error on the answering thread — the server must contain
+  /// it, answer an explicit error, and keep serving.
   std::uint64_t queryFaultEvery = 0;
   /// Wall sleep added before each response delivery (a slow client /
-  /// saturated downstream): drives queue buildup and overload shedding.
+  /// saturated downstream): stalls the connection thread for inline
+  /// answers, and drives queue buildup and shedding for queued ones.
   std::uint64_t slowClientNs = 0;
   /// SIGKILL-equivalent process death (CrashInjector::crash()) right after
   /// the Nth query (1-based; 0 = off) is answered — the serve kill-and-

@@ -28,7 +28,9 @@ class AdmissionQueue {
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   /// Admission-controlled enqueue: false = shed (queue full or closed).
-  bool tryPush(T item) {
+  /// The item is moved from only when admitted, so a shed caller can
+  /// still answer through it.
+  bool tryPush(T&& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || q_.size() >= capacity_) {

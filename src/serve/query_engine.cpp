@@ -85,22 +85,32 @@ std::uint64_t QueryEngine::remainingNs(
 }
 
 std::string QueryEngine::answer(const Request& req) {
-  const auto deadline = deadlineFor(req);
   // One snapshot per query: a concurrent commit swaps view_ but cannot
   // change what THIS query answers against.
+  return answerOn(req, *currentView());
+}
+
+bool QueryEngine::answerFromSnapshot(const Request& req, std::string* out) {
   const std::shared_ptr<const EngineView> view = currentView();
+  if (view->snapshot == nullptr) return false;
+  *out = answerOn(req, *view);
+  return true;
+}
+
+std::string QueryEngine::answerOn(const Request& req, const EngineView& view) {
+  const auto deadline = deadlineFor(req);
   switch (req.op) {
     case RequestOp::kSubs:
-      return answerSubs(req, *view, deadline);
+      return answerSubs(req, view, deadline);
     case RequestOp::kSat:
-      return answerSat(req, *view, deadline);
+      return answerSat(req, view, deadline);
     case RequestOp::kDescendants:
-      return answerDescendants(req, *view, deadline);
+      return answerDescendants(req, view, deadline);
     case RequestOp::kBatch:
-      return answerBatch(req, *view, deadline);
+      return answerBatch(req, view, deadline);
     default:
       break;  // status + delta verbs are server-level; unreachable
-               // through Server::processLine
+               // through Server::respond
   }
   return errorResponse(req, "internal", "unroutable op");
 }

@@ -66,17 +66,27 @@ void Server::start(std::function<ClassificationResult()> classify) {
 
 bool Server::trySubmit(std::string line,
                        std::function<void(std::string)> deliver) {
-  // Parse up front: tryPush consumes the line either way, and the shed
-  // response should echo the request id so clients can correlate. This is
-  // a per-caller-thread hot path (socket readers, bench drivers), so the
-  // parse reuses thread-local scratch instead of allocating.
+  // Parse once, on the caller's thread (socket readers, bench clients),
+  // into thread-local parse state instead of allocating. What the published
+  // snapshot settles is answered right here, without a queue hand-off;
+  // the rest is admitted, and a shed response echoes the request id so
+  // clients can correlate.
   static thread_local RequestParser parser;
   static thread_local Request req;
   std::string why;
-  const bool parsed = parser.parse(line, &req, &why);
-  if (queue_.tryPush(Job{std::move(line), deliver})) return true;
+  const bool parsed =
+      line.size() <= config_.maxLineBytes && parser.parse(line, &req, &why);
+  if (parsed && !draining()) {
+    std::string response;
+    if (respond(req, /*inlineOnly=*/true, &response)) {
+      deliverResponse(deliver, std::move(response));
+      return true;
+    }
+  }
+  Job job{std::move(line), std::move(deliver)};
+  if (queue_.tryPush(std::move(job))) return true;  // moved only if admitted
   if (!parsed) resetForErrorEcho(req);
-  deliver(errorResponse(req, "overloaded"));
+  job.deliver(errorResponse(req, draining() ? "shutdown" : "overloaded"));
   return false;
 }
 
@@ -106,23 +116,8 @@ void Server::workerLoop() {
   RequestParser parser;
   Request req;
   Job job;
-  while (queue_.pop(&job)) {
-    std::string response;
-    try {
-      response = processLine(job.line, parser, req);
-    } catch (const std::exception& e) {
-      // Containment: a query must never take the server down. Parse again
-      // defensively for the id echo (the line already parsed once or the
-      // throw came from deeper down).
-      std::string why;
-      if (!parser.parse(job.line, &req, &why)) resetForErrorEcho(req);
-      response = errorResponse(req, "internal", e.what());
-    } catch (...) {
-      Request blank;
-      response = errorResponse(blank, "internal");
-    }
-    deliverResponse(job, std::move(response));
-  }
+  while (queue_.pop(&job))
+    deliverResponse(job.deliver, processLine(job.line, parser, req));
 }
 
 std::string Server::processLine(const std::string& line, RequestParser& parser,
@@ -131,26 +126,48 @@ std::string Server::processLine(const std::string& line, RequestParser& parser,
     return parseErrorResponse("line too long");
   std::string why;
   if (!parser.parse(line, &req, &why)) return parseErrorResponse(why);
-  if (req.op == RequestOp::kStatus) return statusLine(req);
-  switch (req.op) {
-    case RequestOp::kBeginDelta:
-    case RequestOp::kAddAxiom:
-    case RequestOp::kRetractAxiom:
-    case RequestOp::kCommitDelta:
-    case RequestOp::kAbortDelta:
-      return deltaLine(req);
-    default:
-      break;
-  }
-  // Chaos drill: every Nth admitted query faults inside the worker; the
-  // workerLoop catch turns it into an explicit "internal" response.
-  if (config_.faults.queryFaultEvery > 0) {
-    const std::uint64_t ordinal =
-        admittedOrdinal_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (ordinal % config_.faults.queryFaultEvery == 0)
+  std::string response;
+  respond(req, /*inlineOnly=*/false, &response);
+  return response;
+}
+
+bool Server::respond(const Request& req, bool inlineOnly, std::string* out) {
+  try {
+    switch (req.op) {
+      case RequestOp::kStatus:
+        *out = statusLine(req);
+        return true;
+      case RequestOp::kBeginDelta:
+      case RequestOp::kAddAxiom:
+      case RequestOp::kRetractAxiom:
+      case RequestOp::kCommitDelta:
+      case RequestOp::kAbortDelta:
+        if (inlineOnly) return false;
+        *out = deltaLine(req);
+        return true;
+      default:
+        break;
+    }
+    if (!inlineOnly)
+      *out = engine_.answer(req);
+    else if (!engine_.answerFromSnapshot(req, out))
+      return false;  // no snapshot yet: the ladder needs a worker
+    // Chaos drill: every Nth answered read faults, on either path; the
+    // catch below turns it into an explicit "internal" response. Counted
+    // after answering, so a read that falls through to the queue is
+    // counted once, by the worker that answers it.
+    if (config_.faults.queryFaultEvery > 0 &&
+        (readOrdinal_.fetch_add(1, std::memory_order_relaxed) + 1) %
+                config_.faults.queryFaultEvery ==
+            0)
       throw std::runtime_error("injected query fault");
+  } catch (const std::exception& e) {
+    // Containment: a query must never take the server down.
+    *out = errorResponse(req, "internal", e.what());
+  } catch (...) {
+    *out = errorResponse(req, "internal");
   }
-  return engine_.answer(req);
+  return true;
 }
 
 std::string Server::statusLine(const Request& req) const {
@@ -271,11 +288,12 @@ std::string Server::deltaLine(const Request& req) {
   }
 }
 
-void Server::deliverResponse(const Job& job, std::string response) {
+void Server::deliverResponse(const std::function<void(std::string)>& deliver,
+                             std::string response) {
   if (config_.faults.slowClientNs > 0)
     std::this_thread::sleep_for(
         std::chrono::nanoseconds(config_.faults.slowClientNs));
-  job.deliver(std::move(response));
+  deliver(std::move(response));
   const std::uint64_t answered =
       served_.fetch_add(1, std::memory_order_relaxed) + 1;
   // SIGKILL-equivalent death after the Nth answered query: the response
@@ -364,13 +382,15 @@ struct Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  void send(const std::string& response) {
-    std::lock_guard<std::mutex> lock(writeMu);
-    std::string msg = response;
+  void send(std::string msg) {
     msg.push_back('\n');
+    std::lock_guard<std::mutex> lock(writeMu);
     std::size_t off = 0;
     while (off < msg.size()) {
-      const ssize_t n = ::write(fd, msg.data() + off, msg.size() - off);
+      // MSG_NOSIGNAL: a client that hung up must cost an EPIPE here, not
+      // a process-killing SIGPIPE.
+      const ssize_t n =
+          ::send(fd, msg.data() + off, msg.size() - off, MSG_NOSIGNAL);
       if (n <= 0) return;  // client gone; drop silently
       off += static_cast<std::size_t>(n);
     }
@@ -436,9 +456,11 @@ bool Server::runSocket(std::uint16_t port, int wakeFd, std::string* error) {
             if (discarding) {
               discarding = false;
             } else if (!buf.empty()) {
-              // Shed path answers inline via the same deliver closure.
-              trySubmit(std::move(buf),
-                        [conn](std::string resp) { conn->send(resp); });
+              // Inline answers and the shed path call this closure on
+              // this thread; queued answers call it on a query worker.
+              trySubmit(std::move(buf), [conn](std::string resp) {
+                conn->send(std::move(resp));
+              });
             }
             buf.clear();
             continue;

@@ -10,20 +10,25 @@
 //     shedding, so the output is a deterministic function of the input —
 //     the CI kill/resume byte-match drill depends on this.
 //   * runSocket — TCP listener, thread per connection, line in / line out.
-//     Admission sheds under load: a full queue answers
-//     {"ok":false,"error":"overloaded"} immediately instead of queueing
-//     unboundedly. A wake fd (self-pipe from the CLI signal handlers)
-//     interrupts the accept loop for graceful drain.
+//     Reads the published snapshot settles (subs/sat/descendants/batch)
+//     and status are answered inline on the connection thread; only work
+//     that needs a worker (reads before a snapshot exists, delta verbs,
+//     unparsable lines) is queued. Admission sheds queued work under
+//     load: a full queue answers {"ok":false,"error":"overloaded"}
+//     immediately instead of queueing unboundedly. A wake fd (self-pipe
+//     from the CLI signal handlers) interrupts the accept loop for
+//     graceful drain.
 //
 // drain() is the graceful-shutdown half: close admission (queued queries
 // still finish), ask the classifier to stop at its next epoch barrier,
 // and join everything. The caller then flushes a final checkpoint from
 // captureCheckpoint() — `serve --resume` continues exactly there.
 //
-// ServeFaultPlan hooks (chaos drills): every-Nth-query worker throw
-// (contained → explicit "internal" error, server keeps serving), wall
-// sleep before each delivery (slow client → queue buildup → shedding),
-// and SIGKILL-equivalent death after the Nth answered query.
+// ServeFaultPlan hooks (chaos drills), on the inline and queued paths
+// alike: every-Nth-read throw (contained → explicit "internal" error,
+// server keeps serving), wall sleep before each delivery (slow client →
+// a stalled connection thread, or queue buildup → shedding), and
+// SIGKILL-equivalent death after the Nth answered query.
 #pragma once
 
 #include <atomic>
@@ -79,11 +84,16 @@ class Server {
   /// classification thread. Call exactly once.
   void start(std::function<ClassificationResult()> classify);
 
-  /// Admission-controlled submit: on shed, `deliver` is invoked inline
-  /// with the explicit overloaded response and false is returned.
+  /// The socket front-end's submit. Status, and reads the current view's
+  /// snapshot settles, are answered inline: `deliver` runs on the caller's
+  /// thread before this returns true. Anything else is admission-
+  /// controlled: on shed (or once draining) `deliver` is invoked inline
+  /// with an explicit "overloaded" (or "shutdown") error and false is
+  /// returned.
   bool trySubmit(std::string line, std::function<void(std::string)> deliver);
 
-  /// Blocking submit (batch flow control). False only once draining.
+  /// Blocking submit (batch flow control); always queued, so the batch
+  /// reorder buffer sees one path. False only once draining.
   bool submit(std::string line, std::function<void(std::string)> deliver);
 
   /// Graceful drain: stop admission, finish queued queries, stop the
@@ -134,11 +144,16 @@ class Server {
   };
 
   void workerLoop();
-  /// Parses and answers one line; never throws (the untrusted surface).
+  /// Parses and answers one queued line (the untrusted surface).
   /// `parser`/`req` are the calling worker's reusable scratch — a warmed
   /// worker parses without heap allocation.
   std::string processLine(const std::string& line, RequestParser& parser,
                           Request& req);
+  /// The post-parse responder both paths share; contains any throw as an
+  /// explicit "internal" error. With `inlineOnly` it answers only what
+  /// needs no worker (status, snapshot-settled reads) and returns false,
+  /// having answered and counted nothing, for the rest.
+  bool respond(const Request& req, bool inlineOnly, std::string* out);
   std::string statusLine(const Request& req) const;
   /// Handles the five delta transaction verbs (runs on a query worker; a
   /// commit blocks that worker for the cone rerun while the remaining
@@ -146,8 +161,10 @@ class Server {
   std::string deltaLine(const Request& req);
   /// Publishes the current committed generation as the engine view.
   void publishGeneration();
-  /// Post-answer fault hooks + served counter (slow client, crash-after).
-  void deliverResponse(const Job& job, std::string response);
+  /// Post-answer fault hooks + served counter (slow client, crash-after),
+  /// run on whichever thread answered.
+  void deliverResponse(const std::function<void(std::string)>& deliver,
+                       std::string response);
 
   const TBox& tbox_;
   ParallelClassifier& classifier_;
@@ -162,7 +179,7 @@ class Server {
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
   std::atomic<std::uint64_t> served_{0};
-  std::atomic<std::uint64_t> admittedOrdinal_{0};
+  std::atomic<std::uint64_t> readOrdinal_{0};  // query-fault-every count
 };
 
 }  // namespace owlcl

@@ -1,22 +1,28 @@
 // Serve-mode drills against the real CLI binary: batch queries answered
 // through a live background classification, kill -9-equivalent death
 // mid-run (both at a checkpoint crash point and after the Nth served
-// query), and `serve --resume` whose answers must byte-match an
-// uninterrupted run. stdout carries only response lines (diagnostics go
-// to stderr), so the comparison is a straight slurp.
+// query, in batch and socket mode), and `serve --resume` whose answers
+// must byte-match an uninterrupted run. stdout carries only response
+// lines (diagnostics go to stderr), so the comparison is a straight slurp.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "gen/generator.hpp"
 #include "owl/printer.hpp"
+#include "support/loopback.hpp"
 #include "support/test_dir.hpp"
 
 #ifndef OWLCL_CLI_PATH
@@ -71,6 +77,7 @@ class ServeCliTest : public ::testing::Test {
     std::ofstream q(queries_);
     std::uint64_t id = 0;
     const std::size_t n = onto.tbox->conceptCount();
+    concept_ = onto.tbox->conceptName(0);
     for (std::size_t a = 0; a < n; a += 5)
       for (std::size_t b = 2; b < n; b += 9)
         q << "{\"op\":\"subs\",\"id\":" << id++ << ",\"sub\":\""
@@ -116,6 +123,7 @@ class ServeCliTest : public ::testing::Test {
   std::string onto_;
   std::string queries_;
   std::string golden_;
+  std::string concept_;  // a declared concept name, for ad-hoc queries
 };
 
 // Classification-layer crash point while the serving path is live.
@@ -130,6 +138,74 @@ TEST_F(ServeCliTest, KillMidJournalAndResumeByteMatches) {
 // Serving-layer crash point: die right after the 3rd answered query.
 TEST_F(ServeCliTest, KillAfterServedQueriesAndResumeByteMatches) {
   drill("after-queries", "--inject-serve-faults=crash-after-queries=3");
+}
+
+// The same crash point on the socket front-end, where reads after the
+// run are answered inline on the connection thread: those answers must
+// count, so the process dies right after the Nth of them.
+TEST_F(ServeCliTest, KillAfterServedQueriesCountsInlineSocketAnswers) {
+  constexpr int kCrashAfter = 60;
+  const std::uint16_t port = test::freeLoopbackPort();
+  ASSERT_NE(port, 0);
+  const std::string cli = OWLCL_CLI_PATH;
+  const std::string portArg = "--port=" + std::to_string(port);
+  const std::string faultArg = "--inject-serve-faults=crash-after-queries=" +
+                               std::to_string(kCrashAfter);
+  struct Child {  // SIGKILLs and reaps the server if the test bails out
+    pid_t pid = -1;
+    Child() = default;
+    Child(const Child&) = delete;
+    Child& operator=(const Child&) = delete;
+    ~Child() {
+      if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } child;
+  child.pid = ::fork();
+  ASSERT_GE(child.pid, 0);
+  if (child.pid == 0) {
+    const int devNull = ::open("/dev/null", O_WRONLY);
+    if (devNull >= 0) ::dup2(devNull, STDERR_FILENO);
+    ::execl(cli.c_str(), cli.c_str(), "serve", onto_.c_str(), "--workers=3",
+            portArg.c_str(), faultArg.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+
+  const int fd = test::connectLoopback(port);
+  ASSERT_GE(fd, 0) << "server never listened";
+  // Status (answered and counted like any query) until the run is done;
+  // its snapshot is published with it.
+  int answered = 0;
+  std::string reply;
+  while (reply.find("\"state\":\"done\"") == std::string::npos) {
+    ASSERT_LT(answered, kCrashAfter - 1) << "run outlasted the status polls";
+    ASSERT_TRUE(test::sendAll(fd, "{\"op\":\"status\"}\n"));
+    ASSERT_TRUE(test::readLine(fd, &reply)) << "died while classifying";
+    ++answered;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::string sat = "{\"op\":\"sat\",\"concept\":\"" + concept_ + "\"}\n";
+  while (answered < kCrashAfter) {
+    ASSERT_TRUE(test::sendAll(fd, sat));
+    ASSERT_TRUE(test::readLine(fd, &reply)) << "died after " << answered;
+    EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    ++answered;
+  }
+  ::close(fd);
+
+  int status = 0;
+  const auto giveUp =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (::waitpid(child.pid, &status, WNOHANG) == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), giveUp)
+        << "still serving after " << kCrashAfter << " answers";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  child.pid = -1;  // reaped
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 137);
 }
 
 // Injected worker faults produce explicit "internal" errors but never

@@ -1,13 +1,17 @@
 // Live delta transactions through the Server: protocol verbs, the
 // copy-on-write engine view swap on commit, in-order batch execution of
 // transaction scripts (a later line must never overtake a delta verb),
-// and error surfaces (verbs without a reclassifier, commit without begin).
+// error surfaces (verbs without a reclassifier, commit without begin), and
+// inline snapshot reads that match queued answers on every generation.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
+#include <thread>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/incremental.hpp"
 #include "core/parallel_classifier.hpp"
@@ -30,6 +34,18 @@ std::string ask(Server& server, const std::string& line) {
   const bool ok = server.submit(
       line, [done](std::string resp) { done->set_value(std::move(resp)); });
   if (!ok) return "<rejected>";
+  return fut.get();
+}
+
+/// trySubmit round trip; "<queued>" unless answered inline (on this thread).
+std::string askInline(Server& server, const std::string& line) {
+  auto done = std::make_shared<std::promise<std::string>>();
+  auto fut = done->get_future();
+  const std::thread::id caller = std::this_thread::get_id();
+  server.trySubmit(line, [done, caller](std::string resp) {
+    done->set_value(std::this_thread::get_id() == caller ? std::move(resp)
+                                                         : "<queued>");
+  });
   return fut.get();
 }
 
@@ -139,6 +155,60 @@ TEST_F(ServeDeltaTest, TransactionLifecycleAndViewSwap) {
       ask(*server,
           R"({"op":"subs","sub":"Intern","sup":"Employee","deadline_ms":30000})"),
       "\"result\":true"));
+  server->drain();
+}
+
+TEST_F(ServeDeltaTest, InlineAnswersAreByteEqualToQueuedAcrossCommit) {
+  auto server = startServer();
+  const auto settleBy =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (server->engineView()->snapshot == nullptr) {
+    ASSERT_LT(std::chrono::steady_clock::now(), settleBy) << "no snapshot";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Every read verb over every concept (and one unknown name), both
+  // paths: trySubmit answers from the snapshot on this thread, submit
+  // through a query worker.
+  const auto compareAll = [&server](const std::vector<std::string>& names) {
+    std::vector<std::string> lines;
+    std::string batch = R"({"op":"batch","id":99,"queries":[)";
+    for (const std::string& a : names) {
+      lines.push_back(R"({"op":"sat","id":1,"concept":")" + a + "\"}");
+      lines.push_back(R"({"op":"descendants","id":2,"concept":")" + a + "\"}");
+      for (const std::string& b : names) {
+        lines.push_back(R"({"op":"subs","id":3,"sub":")" + a +
+                        R"(","sup":")" + b + "\"}");
+        if (batch.back() != '[') batch.push_back(',');
+        batch += R"({"op":"subs","sub":")" + a + R"(","sup":")" + b + "\"}";
+      }
+    }
+    lines.push_back(batch + "]}");
+    for (const std::string& line : lines) {
+      const std::string inlined = askInline(*server, line);
+      EXPECT_EQ(inlined, ask(*server, line)) << line;
+      EXPECT_TRUE(contains(inlined, "\"ok\":true") ||
+                  contains(inlined, "unknown-concept"))
+          << inlined;
+    }
+  };
+  compareAll({"Person", "Student", "Employee", "Intern"});  // Intern unknown
+
+  EXPECT_TRUE(contains(ask(*server, R"({"op":"begin-delta"})"), "\"txn\":1"));
+  EXPECT_TRUE(contains(
+      ask(*server,
+          R"j({"op":"add-axiom","axiom":"Declaration(Class(Intern))"})j"),
+      "\"staged\":1"));
+  EXPECT_TRUE(contains(
+      ask(*server,
+          R"j({"op":"add-axiom","axiom":"SubClassOf(Intern Student)"})j"),
+      "\"staged\":2"));
+  EXPECT_TRUE(contains(ask(*server, R"({"op":"commit"})"), "\"epoch\":1"));
+  ASSERT_NE(server->engineView()->snapshot, nullptr);
+  EXPECT_EQ(askInline(*server,
+                      R"({"op":"subs","sub":"Intern","sup":"Person"})"),
+            R"({"ok":true,"op":"subs","result":true,"method":"settled"})");
+  compareAll({"Person", "Student", "Employee", "Intern"});
   server->drain();
 }
 

@@ -1,8 +1,12 @@
 // End-to-end tests for the Server core: batch answers against ground
 // truth, in-order batch output, explicit overload shedding, worker-fault
-// containment, per-query deadline degradation, and graceful drain.
+// containment, per-query deadline degradation, graceful drain, and the
+// inline read path (snapshot-settled reads answered on the caller's
+// thread, over the API and over a socket).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -10,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "gen/mock_reasoner.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/server.hpp"
+#include "support/loopback.hpp"
 
 namespace owlcl {
 namespace {
@@ -44,6 +50,29 @@ std::string ask(Server& server, const std::string& line) {
       line, [done](std::string resp) { done->set_value(std::move(resp)); });
   if (!ok) return "<rejected>";
   return fut.get();
+}
+
+/// trySubmit round trip; "<queued>" unless answered inline (on this thread).
+std::string askInline(Server& server, const std::string& line) {
+  auto done = std::make_shared<std::promise<std::string>>();
+  auto fut = done->get_future();
+  const std::thread::id caller = std::this_thread::get_id();
+  server.trySubmit(line, [done, caller](std::string resp) {
+    done->set_value(std::this_thread::get_id() == caller ? std::move(resp)
+                                                         : "<queued>");
+  });
+  return fut.get();
+}
+
+/// Waits until the server's view carries the compiled snapshot.
+bool waitForSnapshot(const Server& server) {
+  const auto giveUp =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (server.engineView()->snapshot == nullptr) {
+    if (std::chrono::steady_clock::now() > giveUp) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 /// Answers ground truth after a fixed wall-clock sleep — a "slow
@@ -173,7 +202,14 @@ TEST_F(ServeServerTest, OverloadShedsWithExplicitResponsesAndNothingHangs) {
   sc.queueCapacity = 2;
   sc.faults.slowClientNs = 5'000'000;  // 5 ms per delivery → queue backs up
   Server server(*onto_.tbox, classifier, backend, sc);
-  server.start([&] { return classifier.classify(exec); });
+  // Classification waits until every query is in: with no snapshot
+  // published, no read can be answered inline, so each one must queue.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  server.start([&, opened] {
+    opened.wait();
+    return classifier.classify(exec);
+  });
 
   const std::size_t total = 60;
   std::atomic<std::size_t> responses{0};
@@ -188,6 +224,7 @@ TEST_F(ServeServerTest, OverloadShedsWithExplicitResponsesAndNothingHangs) {
       ++responses;
     });
   }
+  gate.set_value();
   server.drain();  // queued queries still answer during drain
   EXPECT_EQ(responses.load(), total) << "a client was left without a response";
   EXPECT_GT(server.shedCount(), 0u) << "admission control never engaged";
@@ -282,6 +319,211 @@ TEST_F(ServeServerTest, DrainIsIdempotentAndRejectsNewWork) {
   EXPECT_TRUE(server.draining());
   EXPECT_FALSE(server.submit(R"({"op":"status","id":2})",
                              [](std::string) { FAIL() << "delivered"; }));
+}
+
+TEST_F(ServeServerTest, ReadsQueueWithoutSnapshotAndEpochWaitAnswersAfterGate) {
+  MockReasoner backend(onto_.truth);
+  ClassifierConfig config;
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(*onto_.tbox, backend, config);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  Server server(*onto_.tbox, classifier, backend, ServerConfig{});
+  server.start([&, opened] {
+    opened.wait();
+    return classifier.classify(exec);
+  });
+
+  auto done = std::make_shared<std::promise<std::string>>();
+  auto fut = done->get_future();
+  const std::thread::id caller = std::this_thread::get_id();
+  auto onCaller = std::make_shared<std::atomic<bool>>(true);
+  EXPECT_TRUE(server.trySubmit(
+      "{\"op\":\"subs\",\"id\":1,\"sub\":\"" + onto_.tbox->conceptName(1) +
+          "\",\"sup\":\"" + onto_.tbox->conceptName(2) +
+          "\",\"deadline_ms\":60000}",
+      [done, caller, onCaller](std::string resp) {
+        onCaller->store(std::this_thread::get_id() == caller);
+        done->set_value(std::move(resp));
+      }));
+  // Nothing settles while the gate is shut: the read sits in the epoch-wait
+  // rung on a query worker, not on this thread.
+  EXPECT_EQ(fut.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  gate.set_value();
+  const std::string resp = fut.get();
+  EXPECT_FALSE(onCaller->load());
+  EXPECT_TRUE(contains(resp, "\"method\":\"settled\"")) << resp;
+  const bool want = onto_.truth.subsumes(2, 1);
+  EXPECT_TRUE(contains(resp, want ? "\"result\":true" : "\"result\":false"))
+      << resp;
+  EXPECT_EQ(server.engineStats().walkAnswers, 1u);
+  EXPECT_EQ(server.engineStats().snapshotAnswers, 0u);
+  server.drain();
+}
+
+TEST_F(ServeServerTest, FaultHookAndServedCountInlineAnswers) {
+  MockReasoner backend(onto_.truth);
+  ClassifierConfig config;
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(*onto_.tbox, backend, config);
+  ServerConfig sc;
+  sc.faults.queryFaultEvery = 2;
+  Server server(*onto_.tbox, classifier, backend, sc);
+  server.start([&] { return classifier.classify(exec); });
+  ASSERT_TRUE(waitForSnapshot(server));
+
+  std::size_t okCount = 0, internalCount = 0;
+  for (int i = 0; i < 10; ++i) {
+    const std::string resp = askInline(
+        server, "{\"op\":\"sat\",\"id\":" + std::to_string(i) +
+                    ",\"concept\":\"" + onto_.tbox->conceptName(3) + "\"}");
+    if (contains(resp, "\"error\":\"internal\""))
+      ++internalCount;
+    else if (contains(resp, "\"ok\":true"))
+      ++okCount;
+    else
+      ADD_FAILURE() << "unexpected response: " << resp;
+  }
+  EXPECT_EQ(internalCount, 5u);  // every 2nd answered read throws
+  EXPECT_EQ(okCount, 5u);
+  EXPECT_EQ(server.served(), 10u);
+  server.drain();
+}
+
+TEST_F(ServeServerTest, DrainedServerRefusesInsteadOfAnsweringInline) {
+  MockReasoner backend(onto_.truth);
+  ClassifierConfig config;
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(*onto_.tbox, backend, config);
+  Server server(*onto_.tbox, classifier, backend, ServerConfig{});
+  server.start([&] { return classifier.classify(exec); });
+  ASSERT_TRUE(waitForSnapshot(server));
+  server.drain();
+
+  for (const std::string& line :
+       {"{\"op\":\"sat\",\"id\":3,\"concept\":\"" +
+            onto_.tbox->conceptName(0) + "\"}",
+        std::string(R"({"op":"status","id":3})")}) {
+    std::string resp;
+    EXPECT_FALSE(server.trySubmit(line, [&](std::string r) { resp = r; }));
+    EXPECT_EQ(resp, R"({"id":3,"ok":false,"error":"shutdown"})");
+  }
+  EXPECT_EQ(server.served(), 0u);
+  EXPECT_EQ(server.engineStats().snapshotAnswers, 0u);
+}
+
+/// runSocket on its own thread over a wake pipe; the destructor wakes and
+/// joins it.
+class SocketFront {
+ public:
+  explicit SocketFront(Server& server) : port_(test::freeLoopbackPort()) {
+    if (::pipe(wake_) != 0) throw std::runtime_error("cannot create pipe");
+    thread_ = std::thread([this, &server] {
+      std::string err;
+      server.runSocket(port_, wake_[0], &err);
+    });
+  }
+  SocketFront(const SocketFront&) = delete;
+  SocketFront& operator=(const SocketFront&) = delete;
+  ~SocketFront() {
+    const char b = 1;
+    (void)!::write(wake_[1], &b, 1);
+    thread_.join();
+    ::close(wake_[0]);
+    ::close(wake_[1]);
+  }
+  std::uint16_t port() const { return port_; }
+
+ private:
+  std::uint16_t port_;
+  int wake_[2] = {-1, -1};
+  std::thread thread_;
+};
+
+TEST_F(ServeServerTest, PipelinedSocketReadsReplyInInputOrder) {
+  MockReasoner backend(onto_.truth);
+  ClassifierConfig config;
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(*onto_.tbox, backend, config);
+  Server server(*onto_.tbox, classifier, backend, ServerConfig{});
+  server.start([&] { return classifier.classify(exec); });
+  ASSERT_TRUE(waitForSnapshot(server));
+
+  std::vector<std::string> requests;
+  const auto id = [&requests] { return std::to_string(requests.size()); };
+  const std::size_t n = onto_.tbox->conceptCount();
+  for (ConceptId c = 0; c + 1 < n; c += 4) {
+    const std::string a = onto_.tbox->conceptName(c);
+    const std::string b = onto_.tbox->conceptName(c + 1);
+    requests.push_back(R"({"op":"subs","id":)" + id() + R"(,"sub":")" + a +
+                       R"(","sup":")" + b + "\"}");
+    requests.push_back(R"({"op":"sat","id":)" + id() + R"(,"concept":")" + a +
+                       "\"}");
+    requests.push_back(R"({"op":"descendants","id":)" + id() +
+                       R"(,"concept":")" + b + "\"}");
+    requests.push_back(R"({"op":"batch","id":)" + id() +
+                       R"(,"queries":[{"op":"sat","concept":")" + b +
+                       R"("},{"op":"subs","sub":")" + b + R"(","sup":")" + a +
+                       "\"}]}");
+  }
+  std::string pipelined;
+  for (const std::string& r : requests) pipelined += r + "\n";
+
+  SocketFront front(server);
+  const int fd = test::connectLoopback(front.port());
+  ASSERT_GE(fd, 0) << "server never listened";
+  ASSERT_TRUE(test::sendAll(fd, pipelined));  // one burst, replies read after
+  std::string received;
+  char chunk[4096];
+  while (static_cast<std::size_t>(std::count(received.begin(), received.end(),
+                                             '\n')) < requests.size()) {
+    const ssize_t got = ::read(fd, chunk, sizeof chunk);
+    ASSERT_GT(got, 0) << "connection closed early";
+    received.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+
+  const std::vector<std::string> replies = lines(received);
+  ASSERT_EQ(replies.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    EXPECT_EQ(replies[i], ask(server, requests[i])) << requests[i];
+  server.drain();
+}
+
+TEST_F(ServeServerTest, ClientHangingUpBeforeItsRepliesLeavesServerUp) {
+  MockReasoner backend(onto_.truth);
+  ClassifierConfig config;
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  ParallelClassifier classifier(*onto_.tbox, backend, config);
+  Server server(*onto_.tbox, classifier, backend, ServerConfig{});
+  server.start([&] { return classifier.classify(exec); });
+  ASSERT_TRUE(waitForSnapshot(server));
+
+  SocketFront front(server);
+  std::string burst;
+  for (int i = 0; i < 300; ++i)
+    burst += R"({"op":"sat","concept":")" + onto_.tbox->conceptName(0) +
+             "\"}\n";
+  const int rude = test::connectLoopback(front.port());
+  ASSERT_GE(rude, 0);
+  ASSERT_TRUE(test::sendAll(rude, burst));
+  ::close(rude);  // unread replies: the server's next writes hit a reset
+
+  // Still serving (a SIGPIPE would have ended this process).
+  const int fd = test::connectLoopback(front.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(test::sendAll(fd, "{\"op\":\"status\",\"id\":1}\n"));
+  std::string reply;
+  EXPECT_TRUE(test::readLine(fd, &reply));
+  ::close(fd);
+  EXPECT_TRUE(contains(reply, "\"op\":\"status\"")) << reply;
+  server.drain();
 }
 
 }  // namespace

@@ -79,10 +79,12 @@
 //
 //   --query-file=F       newline-delimited requests (- = stdin, the
 //                        default); responses go to stdout in input order
-//   --port=N             TCP socket mode; admission sheds under load with
-//                        explicit {"error":"overloaded"} responses
-//   --query-threads=N    query worker pool size (default 2)
-//   --queue-cap=N        admission queue bound (default 128)
+//   --port=N             TCP socket mode; snapshot-settled reads and
+//                        status answer inline on the connection thread,
+//                        other work queues, and admission sheds it under
+//                        load with explicit {"error":"overloaded"}
+//   --query-threads=N    query worker pool size for queued work (default 2)
+//   --queue-cap=N        admission queue bound for queued work (default 128)
 //   --query-snapshot=off|on  compile each finished generation's taxonomy
 //                        into an immutable read-optimized index (interval
 //                        labels + extra-ancestor bitsets + precompiled
