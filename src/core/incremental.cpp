@@ -215,19 +215,6 @@ ClassifierCheckpoint reopenConeImage(const ClassifierCheckpoint& pre,
   img.totalFailures = 0;
 
   for (std::size_t x = 0; x < nNew; ++x) {
-    if (inCone[x]) {
-      // Fully reopened row: everything is possible again except the
-      // diagonal and the closed (non-cone unsatisfiable) concepts.
-      for (std::size_t y = 0; y < nNew; ++y) {
-        if (y == x || closed[y]) {
-          setBit(img.testedWords, wNew, x, y);
-        } else {
-          setBit(img.pWords, wNew, x, y);
-        }
-      }
-      continue;
-    }
-    // Carried-over row (x < nOld by construction).
     if (closed[x]) {
       // Known-unsat outside the cone: keep the whole row closed exactly as
       // the unsat erasure left it.
@@ -235,17 +222,25 @@ ClassifierCheckpoint reopenConeImage(const ClassifierCheckpoint& pre,
       img.sat[x] = old.sat[x];
       continue;
     }
-    std::copy(old.pWords.begin() + x * wOld,
-              old.pWords.begin() + x * wOld + wOld,
-              img.pWords.begin() + x * wNew);
-    std::copy(old.kWords.begin() + x * wOld,
-              old.kWords.begin() + x * wOld + wOld,
-              img.kWords.begin() + x * wNew);
-    std::copy(old.testedWords.begin() + x * wOld,
-              old.testedWords.begin() + x * wOld + wOld,
-              img.testedWords.begin() + x * wNew);
-    img.sat[x] = old.sat[x];
-    // Reopen the cone columns: any cone concept may gain or lose this
+    if (x < nOld) {
+      // Column y outside the cone is unchanged (y keeps its subsumers), so
+      // its old P/K/tested entry stands — in a cone row too.
+      std::copy(old.pWords.begin() + x * wOld,
+                old.pWords.begin() + x * wOld + wOld,
+                img.pWords.begin() + x * wNew);
+      std::copy(old.kWords.begin() + x * wOld,
+                old.kWords.begin() + x * wOld + wOld,
+                img.kWords.begin() + x * wNew);
+      std::copy(old.testedWords.begin() + x * wOld,
+                old.testedWords.begin() + x * wOld + wOld,
+                img.testedWords.begin() + x * wNew);
+      if (!inCone[x]) img.sat[x] = old.sat[x];
+    } else {
+      // A new concept subsumes nothing outside the cone: no non-cone
+      // concept ever had the new name as a subsumer.
+      for (std::size_t y = 0; y < nNew; ++y) setBit(img.testedWords, wNew, x, y);
+    }
+    // Reopen the cone columns: any cone concept may gain or lose x as a
     // subsumer, so the pair must be retested (K cleared, P set).
     for (const ConceptId y : cone) {
       if (y == x) continue;

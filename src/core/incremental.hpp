@@ -93,10 +93,12 @@ struct ConeResult {
 };
 ConeResult computeAffectedCone(const TBox& oldTbox, const TBox& newTbox);
 
-/// Builds the synthetic checkpoint a delta rerun resumes from: cone rows
-/// and cone columns of the completed pre-delta image are reopened
-/// (P set, K/tested cleared, sat reset for cone concepts); everything
-/// else is carried over verbatim. Invariant: no reopened P bit involves a
+/// Builds the synthetic checkpoint a delta rerun resumes from: the cone
+/// columns of the completed pre-delta image are reopened (P set, K/tested
+/// cleared) and cone concepts' sat status is reset; everything else is
+/// carried over verbatim — in cone rows too, since a column outside the
+/// cone is unchanged. A new concept's row settles its non-cone columns as
+/// non-subsumptions. Invariant: no reopened P bit involves a
 /// non-cone concept whose carried-over status is unsatisfiable — such
 /// rows/columns stay fully closed (ensureSat() returns the cached kUnsat
 /// without re-erasing, so an open bit there would never drain).
@@ -115,19 +117,20 @@ class DeltaTxnSink {
  public:
   virtual ~DeltaTxnSink() = default;
 
-  /// Transaction opened. Journal a begin record (durable before return).
+  /// Transaction opened. Journal a begin record (durable no later than
+  /// the transaction's commit record).
   virtual bool opBegin(std::uint32_t txid, std::string* error) = 0;
   /// One staged add/retract (canonical text). Journal before staging.
   virtual bool opStage(std::uint32_t txid, bool isAdd, const std::string& stmt,
                        std::string* error) = 0;
   /// The cone rerun for `newTbox` is about to start: return the checkpoint
-  /// hook that will journal/snapshot it (a fresh rerun area keyed by the
-  /// post-delta ontology hash), or null with *error. The hook stays owned
+  /// hook the rerun reports to, or null with *error. The hook stays owned
   /// by the sink and must stay valid until opCommit/opAbort.
   virtual CheckpointHook* beginRerun(const TBox& newTbox, std::uint64_t seed,
                                      std::string* error) = 0;
-  /// Rerun complete: make the transaction durable (commit record), then
-  /// re-anchor the main checkpoint area at the post-delta state `post`.
+  /// Rerun complete: make `post` and the transaction durable (commit
+  /// record), then re-anchor the main checkpoint area at the post-delta
+  /// state.
   virtual bool opCommit(std::uint32_t txid, const TBox& newTbox,
                         const ClassifierCheckpoint& post,
                         std::string* error) = 0;

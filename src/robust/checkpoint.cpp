@@ -4,7 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -12,6 +12,7 @@
 #include "owl/printer.hpp"
 #include "owl/tbox.hpp"
 #include "robust/fault_injector.hpp"
+#include "robust/file_io.hpp"
 #include "util/bitset.hpp"
 #include "util/crc32.hpp"
 
@@ -21,11 +22,16 @@ namespace fs = std::filesystem;
 
 namespace {
 
+using fileio::syncDirectory;
+using fileio::writeAll;
+
 constexpr char kSnapMagic[8] = {'O', 'W', 'L', 'S', 'N', 'A', 'P', '1'};
 constexpr std::uint32_t kSnapVersion = 1;
 constexpr char kJournalName[] = "journal.wal";
 constexpr char kSnapPrefix[] = "ckpt-";
 constexpr char kSnapSuffix[] = ".snap";
+
+std::atomic<std::uint64_t> gSnapshotFileWrites{0};
 
 void putU32(std::vector<unsigned char>* out, std::uint32_t v) {
   out->push_back(static_cast<unsigned char>(v));
@@ -47,11 +53,7 @@ class ByteReader {
 
   bool u32(std::uint32_t* v) {
     if (pos_ + 4 > size_) return false;
-    const unsigned char* p = data_ + pos_;
-    *v = static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+    *v = fileio::getU32(data_ + pos_);
     pos_ += 4;
     return true;
   }
@@ -75,27 +77,6 @@ class ByteReader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
-
-bool writeAll(int fd, const unsigned char* p, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool syncDirectory(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
 
 std::size_t wordsPerRow(std::uint64_t conceptCount) {
   return (static_cast<std::size_t>(conceptCount) + 63) / 64;
@@ -122,6 +103,55 @@ void imgClearRow(std::vector<std::uint64_t>* words, std::size_t wpr,
                  ConceptId r) {
   std::fill(words->begin() + static_cast<std::ptrdiff_t>(r * wpr),
             words->begin() + static_cast<std::ptrdiff_t>((r + 1) * wpr), 0);
+}
+
+/// ckpt-*.snap sequence numbers present in `dir`, ascending.
+std::vector<std::uint64_t> listSnapshotSeqs(const std::string& dir) {
+  std::vector<std::uint64_t> seqs;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() <= std::strlen(kSnapPrefix) + std::strlen(kSnapSuffix) ||
+        name.rfind(kSnapPrefix, 0) != 0 ||
+        name.compare(name.size() - std::strlen(kSnapSuffix),
+                     std::strlen(kSnapSuffix), kSnapSuffix) != 0)
+      continue;
+    const std::string digits =
+        name.substr(std::strlen(kSnapPrefix),
+                    name.size() - std::strlen(kSnapPrefix) -
+                        std::strlen(kSnapSuffix));
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos)
+      continue;
+    seqs.push_back(std::strtoull(digits.c_str(), nullptr, 10));
+  }
+  std::sort(seqs.begin(), seqs.end());
+  return seqs;
+}
+
+/// readNewestSnapshot over the already-listed sequence numbers of `dir`.
+bool readNewestListed(const std::string& dir,
+                      const std::vector<std::uint64_t>& seqs,
+                      std::uint64_t ontologyHash, std::uint64_t seed,
+                      ClassifierCheckpoint* out, std::string* error) {
+  if (seqs.empty()) {
+    if (error != nullptr)
+      *error = "no snapshot found in " + dir + " (nothing to resume)";
+    return false;
+  }
+  // Newest snapshot that validates wins; corruption falls back to older
+  // ones (at least one must survive or recovery refuses).
+  std::string firstError;
+  for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
+    std::string why;
+    if (readSnapshotFile(snapshotFilePath(dir, *it), ontologyHash, seed, out,
+                         &why))
+      return true;
+    if (firstError.empty()) firstError = why;
+  }
+  if (error != nullptr)
+    *error = "no valid snapshot in " + dir + ": " + firstError;
+  return false;
 }
 
 }  // namespace
@@ -193,13 +223,7 @@ bool decodeSnapshot(const std::vector<unsigned char>& bytes,
     return fail("snapshot magic mismatch");
   // CRC first: anything else in the file is untrusted until it passes.
   const std::size_t body = bytes.size() - 4;
-  const unsigned char* tail = bytes.data() + body;
-  const std::uint32_t storedCrc =
-      static_cast<std::uint32_t>(tail[0]) |
-      (static_cast<std::uint32_t>(tail[1]) << 8) |
-      (static_cast<std::uint32_t>(tail[2]) << 16) |
-      (static_cast<std::uint32_t>(tail[3]) << 24);
-  if (storedCrc != crc32(bytes.data(), body))
+  if (fileio::getU32(bytes.data() + body) != crc32(bytes.data(), body))
     return fail("snapshot CRC mismatch");
 
   ByteReader r(bytes.data(), body);
@@ -309,31 +333,37 @@ bool writeSnapshotFile(const std::string& path,
     return false;
   }
   syncDirectory(fs::path(path).parent_path().string());
+  gSnapshotFileWrites.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+std::uint64_t snapshotFileWrites() {
+  return gSnapshotFileWrites.load(std::memory_order_relaxed);
+}
+
+std::string snapshotFilePath(const std::string& dir, std::uint64_t seq) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "%s%012llu%s", kSnapPrefix,
+                static_cast<unsigned long long>(seq), kSnapSuffix);
+  return (fs::path(dir) / name).string();
+}
+
+bool readNewestSnapshot(const std::string& dir, std::uint64_t ontologyHash,
+                        std::uint64_t seed, ClassifierCheckpoint* out,
+                        std::string* error) {
+  return readNewestListed(dir, listSnapshotSeqs(dir), ontologyHash, seed, out,
+                          error);
 }
 
 bool readSnapshotFile(const std::string& path, std::uint64_t ontologyHash,
                       std::uint64_t seed, ClassifierCheckpoint* out,
                       std::string* error) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (error != nullptr) *error = "cannot open snapshot: " + path;
+  std::vector<unsigned char> bytes;
+  bool exists = false;
+  if (!fileio::readFile(path, &bytes, &exists) || !exists) {
+    if (error != nullptr) *error = "cannot read snapshot: " + path;
     return false;
   }
-  std::vector<unsigned char> bytes;
-  unsigned char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      if (error != nullptr) *error = "cannot read snapshot: " + path;
-      return false;
-    }
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  ::close(fd);
   return decodeSnapshot(bytes, ontologyHash, seed, out, error);
 }
 
@@ -412,39 +442,11 @@ std::string CheckpointManager::journalPath() const {
 }
 
 std::string CheckpointManager::snapshotPath(std::uint64_t seq) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%s%012llu%s", kSnapPrefix,
-                static_cast<unsigned long long>(seq), kSnapSuffix);
-  return (fs::path(config_.dir) / name).string();
-}
-
-std::vector<std::uint64_t> CheckpointManager::listSnapshotSeqs() const {
-  std::vector<std::uint64_t> seqs;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(config_.dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= std::strlen(kSnapPrefix) + std::strlen(kSnapSuffix))
-      continue;
-    if (name.rfind(kSnapPrefix, 0) != 0) continue;
-    if (name.size() < std::strlen(kSnapSuffix) ||
-        name.compare(name.size() - std::strlen(kSnapSuffix),
-                     std::strlen(kSnapSuffix), kSnapSuffix) != 0)
-      continue;
-    const std::string digits =
-        name.substr(std::strlen(kSnapPrefix),
-                    name.size() - std::strlen(kSnapPrefix) -
-                        std::strlen(kSnapSuffix));
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    seqs.push_back(std::strtoull(digits.c_str(), nullptr, 10));
-  }
-  std::sort(seqs.begin(), seqs.end());
-  return seqs;
+  return snapshotFilePath(config_.dir, seq);
 }
 
 void CheckpointManager::pruneSnapshots() {
-  std::vector<std::uint64_t> seqs = listSnapshotSeqs();
+  std::vector<std::uint64_t> seqs = listSnapshotSeqs(config_.dir);
   if (seqs.size() <= config_.keepSnapshots) return;
   for (std::size_t i = 0; i + config_.keepSnapshots < seqs.size(); ++i) {
     std::error_code ec;
@@ -460,7 +462,7 @@ bool CheckpointManager::beginFresh(std::string* error) {
       *error = "cannot create checkpoint directory: " + config_.dir;
     return false;
   }
-  for (const std::uint64_t seq : listSnapshotSeqs())
+  for (const std::uint64_t seq : listSnapshotSeqs(config_.dir))
     fs::remove(snapshotPath(seq), ec);
   nextSeq_ = 0;
   barriers_ = 0;
@@ -470,32 +472,10 @@ bool CheckpointManager::beginFresh(std::string* error) {
 }
 
 bool CheckpointManager::recover(ClassifierCheckpoint* out, std::string* error) {
-  const std::vector<std::uint64_t> seqs = listSnapshotSeqs();
-  if (seqs.empty()) {
-    if (error != nullptr)
-      *error = "no snapshot found in " + config_.dir + " (nothing to resume)";
-    return false;
-  }
-
-  // Newest snapshot that validates wins; corruption falls back to older
-  // ones (at least one must survive or recovery refuses).
+  const std::vector<std::uint64_t> seqs = listSnapshotSeqs(config_.dir);
   ClassifierCheckpoint ckpt;
-  bool found = false;
-  std::string firstError;
-  for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
-    std::string why;
-    if (readSnapshotFile(snapshotPath(*it), ontologyHash_, seed_, &ckpt,
-                         &why)) {
-      found = true;
-      break;
-    }
-    if (firstError.empty()) firstError = why;
-  }
-  if (!found) {
-    if (error != nullptr)
-      *error = "no valid snapshot in " + config_.dir + ": " + firstError;
+  if (!readNewestListed(config_.dir, seqs, ontologyHash_, seed_, &ckpt, error))
     return false;
-  }
 
   // Replay the journal tail over the snapshot. Records predating the
   // snapshot re-apply idempotently; records after it roll the state
@@ -522,40 +502,13 @@ bool CheckpointManager::recover(ClassifierCheckpoint* out, std::string* error) {
 void CheckpointManager::recordSettled(SettledKind kind, ConceptId x,
                                       ConceptId y, std::uint64_t epoch) {
   journal_.append(kind, x, y, static_cast<std::uint32_t>(epoch));
-  if (deltaRerun_ && crash_ != nullptr) {
-    // Mid-rerun drill: die after the Nth journaled verdict of the cone
-    // rerun, with that verdict durable — no commit record exists yet, so
-    // recovery must land on the pre-delta taxonomy.
-    const std::uint64_t ordinal =
-        rerunVerdicts_.fetch_add(1, std::memory_order_relaxed);
-    if (crash_->crashMidRerunNow(ordinal)) {
-      journal_.sync();
-      CrashInjector::crash();
-    }
-  }
 }
 
 void CheckpointManager::recordSettledRow(SettledKind kind, ConceptId x,
                                          const std::uint64_t* words,
                                          std::size_t nwords,
                                          std::uint64_t epoch) {
-  const auto e = static_cast<std::uint32_t>(epoch);
-  if (deltaRerun_ && crash_ != nullptr) {
-    // Mid-rerun drill over a row: if the Nth rerun verdict falls inside
-    // it, journal the row only up to and including that verdict — what
-    // recordSettled() would have left durable — and die.
-    std::uint64_t ordinal = rerunVerdicts_.fetch_add(
-        popcountWords(words, nwords), std::memory_order_relaxed);
-    forEachSetBitInWords(words, nwords, [&](std::size_t y) {
-      if (!crash_->crashMidRerunNow(ordinal++)) return;
-      std::vector<std::uint64_t> prefix(words, words + y / 64 + 1);
-      prefix.back() &= ~std::uint64_t{0} >> (63 - y % 64);  // bits <= y
-      journal_.appendRow(kind, x, prefix.data(), prefix.size(), e);
-      journal_.sync();
-      CrashInjector::crash();
-    });
-  }
-  journal_.appendRow(kind, x, words, nwords, e);
+  journal_.appendRow(kind, x, words, nwords, static_cast<std::uint32_t>(epoch));
 }
 
 void CheckpointManager::epochBarrier(
@@ -595,6 +548,20 @@ bool CheckpointManager::snapshotFinal(const ClassifierCheckpoint& ckpt,
     return false;
   }
   ++snapshotsWritten_;
+  pruneSnapshots();
+  return true;
+}
+
+bool CheckpointManager::adoptSnapshot(const std::string& path,
+                                      std::string* error) {
+  const std::string target = snapshotPath(nextSeq_);
+  if (::rename(path.c_str(), target.c_str()) != 0) {
+    if (error != nullptr)
+      *error = "cannot rename snapshot " + path + " into " + target;
+    return false;
+  }
+  ++nextSeq_;
+  syncDirectory(config_.dir);
   pruneSnapshots();
   return true;
 }

@@ -31,7 +31,6 @@
 // u64 totalFailures | u64 possibleCount | u32 crc.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -89,6 +88,20 @@ bool readSnapshotFile(const std::string& path, std::uint64_t ontologyHash,
                       std::uint64_t seed, ClassifierCheckpoint* out,
                       std::string* error);
 
+/// Process-wide count of snapshot files writeSnapshotFile() renamed into
+/// place (diagnostics and the delta commit's write-count test).
+std::uint64_t snapshotFileWrites();
+
+/// Path of snapshot `seq` (ckpt-<seq>.snap) in checkpoint directory `dir`.
+std::string snapshotFilePath(const std::string& dir, std::uint64_t seq);
+
+/// Reads the newest ckpt-*.snap in `dir` that validates against
+/// (ontologyHash, seed), falling back to older ones. Touches no other
+/// file. False with *error when none validates.
+bool readNewestSnapshot(const std::string& dir, std::uint64_t ontologyHash,
+                        std::uint64_t seed, ClassifierCheckpoint* out,
+                        std::string* error);
+
 /// Re-applies one journaled verdict to a quiescent state image — exactly
 /// the PkStore transition the live run performed (idempotent; see
 /// SettledKind). Exposed for the replay tests.
@@ -131,27 +144,21 @@ class CheckpointManager : public CheckpointHook {
   /// write failure; the journal still holds every settled verdict.
   bool snapshotFinal(const ClassifierCheckpoint& ckpt, std::string* error);
 
+  /// Makes the already-durable snapshot file at `path` (written for this
+  /// manager's ontology hash and seed, e.g. by writeSnapshotFile) this
+  /// area's newest snapshot by renaming it in, then fsyncs the directory.
+  /// `path` must be on the same filesystem. False with *error on failure.
+  bool adoptSnapshot(const std::string& path, std::string* error);
+
   /// Diagnostics for reports and tests.
   std::uint64_t snapshotsWritten() const { return snapshotsWritten_; }
   std::uint64_t journalAppends() const { return journal_.appendCount(); }
   std::uint64_t journalWrites() const { return journal_.writeCount(); }
   const std::string& lastError() const { return lastError_; }
 
-  /// Marks this manager as driving a delta cone rerun (DESIGN.md §14):
-  /// every journaled verdict from now on also consults the injector's
-  /// kCrashMidRerun point, counting verdicts from 0 per call. The delta
-  /// layer flags the rerun-area manager with this so the mid-rerun drill
-  /// dies inside the cone re-classification, never the main run.
-  void markDeltaRerun() {
-    deltaRerun_ = true;
-    rerunVerdicts_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::string journalPath() const;
   std::string snapshotPath(std::uint64_t seq) const;
-  /// ckpt-*.snap sequence numbers present in the directory, ascending.
-  std::vector<std::uint64_t> listSnapshotSeqs() const;
   void pruneSnapshots();
 
   CheckpointConfig config_;
@@ -163,8 +170,6 @@ class CheckpointManager : public CheckpointHook {
   std::uint64_t barriers_ = 0;      // epoch barriers observed (crash ordinal)
   std::uint64_t snapshotsWritten_ = 0;
   std::string lastError_;
-  bool deltaRerun_ = false;  // consult kCrashMidRerun on journaled verdicts
-  std::atomic<std::uint64_t> rerunVerdicts_{0};
 };
 
 }  // namespace owlcl

@@ -3,82 +3,30 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 
 #include "robust/fault_injector.hpp"
+#include "robust/file_io.hpp"
 #include "util/crc32.hpp"
 
 namespace owlcl {
 
 namespace {
 
+using namespace fileio;
+
 constexpr char kMagic[8] = {'O', 'W', 'L', 'D', 'L', 'T', 'A', '1'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kRecordHeadBytes = 12;  // kind + pad + txid + len
 
-void putU32(unsigned char* p, std::uint32_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-  p[2] = static_cast<unsigned char>(v >> 16);
-  p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void putU64(unsigned char* p, std::uint64_t v) {
-  putU32(p, static_cast<std::uint32_t>(v));
-  putU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t getU32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t getU64(const unsigned char* p) {
-  return static_cast<std::uint64_t>(getU32(p)) |
-         (static_cast<std::uint64_t>(getU32(p + 4)) << 32);
-}
+namespace fs = std::filesystem;
 
 bool validKind(unsigned char k) {
   return k >= static_cast<unsigned char>(DeltaOpKind::kBegin) &&
          k <= static_cast<unsigned char>(DeltaOpKind::kAbort);
-}
-
-bool writeAll(int fd, const unsigned char* p, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool readFile(const std::string& path, std::vector<unsigned char>* bytes,
-              bool* exists) {
-  *exists = false;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return errno == ENOENT;
-  *exists = true;
-  bytes->clear();
-  unsigned char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    bytes->insert(bytes->end(), buf, buf + n);
-  }
-  ::close(fd);
-  return true;
 }
 
 std::vector<unsigned char> encodeRecord(const DeltaRecord& rec) {
@@ -150,6 +98,37 @@ long long validPrefixLength(const std::vector<unsigned char>& bytes,
   return static_cast<long long>(pos);
 }
 
+/// The cone rerun's checkpoint hook: no I/O. With a crash injector set it
+/// numbers the rerun's verdicts (rows bit by bit, ascending) and dies at
+/// the kCrashMidRerun ordinal.
+class RerunCrashHook : public CheckpointHook {
+ public:
+  explicit RerunCrashHook(CrashInjector* crash) : crash_(crash) {}
+
+  void recordSettled(SettledKind, ConceptId, ConceptId,
+                     std::uint64_t) override {
+    count(1);
+  }
+  void recordSettledRow(SettledKind, ConceptId, const std::uint64_t* words,
+                        std::size_t nwords, std::uint64_t) override {
+    if (crash_ != nullptr) count(popcountWords(words, nwords));
+  }
+  void epochBarrier(const ClassifierProgress&,
+                    const std::function<ClassifierCheckpoint()>&) override {}
+
+ private:
+  void count(std::uint64_t verdicts) {
+    if (crash_ == nullptr) return;
+    const std::uint64_t first =
+        verdicts_.fetch_add(verdicts, std::memory_order_relaxed);
+    for (std::uint64_t i = 0; i < verdicts; ++i)
+      if (crash_->crashMidRerunNow(first + i)) CrashInjector::crash();
+  }
+
+  CrashInjector* const crash_;
+  std::atomic<std::uint64_t> verdicts_{0};
+};
+
 }  // namespace
 
 DeltaJournal::~DeltaJournal() { close(); }
@@ -173,6 +152,7 @@ bool DeltaJournal::writeHeader(std::uint64_t baseHash, std::string* error) {
     return false;
   }
   ::fdatasync(fd_);
+  ++syncs_;
   return true;
 }
 
@@ -181,6 +161,7 @@ bool DeltaJournal::open(const std::string& path, std::uint64_t baseHash,
   close();
   std::lock_guard<std::mutex> lock(mu_);
   appends_ = 0;
+  syncs_ = 0;
 
   if (!truncate) {
     std::vector<unsigned char> bytes;
@@ -243,15 +224,23 @@ bool DeltaJournal::append(const DeltaRecord& rec, std::string* error) {
     if (error != nullptr) *error = "delta WAL append failed";
     return false;
   }
-  // Every record gates a transaction state transition; make it durable
-  // before the reclassifier acts on it.
-  ::fdatasync(fd_);
+  // A transaction is committed iff its commit record is durable; this one
+  // sync also covers its begin/add/retract records earlier in the file.
+  if (rec.kind == DeltaOpKind::kCommit || rec.kind == DeltaOpKind::kAbort) {
+    ::fdatasync(fd_);
+    ++syncs_;
+  }
   return true;
 }
 
 std::uint64_t DeltaJournal::appendCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return appends_;
+}
+
+std::uint64_t DeltaJournal::syncCount() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return syncs_;
 }
 
 bool DeltaJournal::replay(const std::string& path, std::uint64_t baseHash,
@@ -355,7 +344,6 @@ void DeltaJournalSink::setCrashInjector(CrashInjector* crash) {
   crash_ = crash;
   wal_.setCrashInjector(crash);
   if (mainMgr_ != nullptr) mainMgr_->setCrashInjector(crash);
-  if (rerunMgr_ != nullptr) rerunMgr_->setCrashInjector(crash);
 }
 
 bool DeltaJournalSink::open(std::uint64_t baseHash,
@@ -398,33 +386,32 @@ bool DeltaJournalSink::opStage(std::uint32_t txid, bool isAdd,
   return wal_.append(rec, error);
 }
 
-CheckpointHook* DeltaJournalSink::beginRerun(const TBox& newTbox,
-                                             std::uint64_t seed,
-                                             std::string* error) {
-  CheckpointConfig rc = config_;
-  rc.dir = rerunDir(config_.dir);
-  auto mgr = std::make_unique<CheckpointManager>(
-      rc, ontologyContentHash(newTbox), seed);
-  mgr->setCrashInjector(crash_);
-  if (!mgr->beginFresh(error)) return nullptr;
-  // The mid-rerun crash point counts THIS area's journaled verdicts, so
-  // the drill dies inside the cone rerun, never the main run.
-  mgr->markDeltaRerun();
-  rerunMgr_ = std::move(mgr);
-  return rerunMgr_.get();
+CheckpointHook* DeltaJournalSink::beginRerun(const TBox& /*newTbox*/,
+                                             std::uint64_t /*seed*/,
+                                             std::string* /*error*/) {
+  rerunHook_ = std::make_unique<RerunCrashHook>(crash_);
+  return rerunHook_.get();
 }
 
 bool DeltaJournalSink::opCommit(std::uint32_t txid, const TBox& newTbox,
                                 const ClassifierCheckpoint& post,
                                 std::string* error) {
   const std::uint64_t newHash = ontologyContentHash(newTbox);
-  // 1. The rerun area gets its final snapshot FIRST: once the commit
-  //    record below is durable, recovery must find the post-delta state
-  //    somewhere, and the main area has not been re-anchored yet.
-  if (rerunMgr_ != nullptr && !rerunMgr_->snapshotFinal(post, error))
-    return false;
-  // 2. The pre-commit drill dies here: rerun finished and snapshotted, no
-  //    commit record — recovery lands on the pre-delta taxonomy.
+  // 1. The commit's one snapshot write, staged and durable BEFORE the
+  //    commit record: from that record on, recovery must find the
+  //    post-delta state, and the main area is not re-anchored yet. Stale
+  //    files there (a commit that failed after staging, an older build's
+  //    rerun journal) go first.
+  const std::string staging = rerunDir(config_.dir);
+  std::error_code ec;
+  fs::create_directories(staging, ec);
+  std::vector<fs::path> stale;
+  for (const auto& entry : fs::directory_iterator(staging, ec))
+    stale.push_back(entry.path());
+  for (const fs::path& path : stale) fs::remove_all(path, ec);
+  const std::string staged = snapshotFilePath(staging, 0);
+  if (!writeSnapshotFile(staged, post, newHash, seed_, error)) return false;
+  // 2. The pre-commit drill dies here: no commit record, pre-delta result.
   if (crash_ != nullptr && crash_->crashPreCommitNow()) CrashInjector::crash();
   // 3. The commit record. Durable == committed.
   DeltaRecord rec;
@@ -432,16 +419,17 @@ bool DeltaJournalSink::opCommit(std::uint32_t txid, const TBox& newTbox,
   rec.txid = txid;
   rec.newHash = newHash;
   if (!wal_.append(rec, error)) return false;
-  // 4. Re-anchor the main area at the post-delta generation. A crash
-  //    anywhere in here is covered by the rerun area's final snapshot.
+  // 4. The post-commit drill dies here: recovery re-anchors the main area
+  //    from the staged snapshot.
+  if (crash_ != nullptr && crash_->crashPostCommitNow()) CrashInjector::crash();
+  // 5. Re-anchor: reset the main journal at the new hash and drop the old
+  //    snapshots, THEN rename the staged snapshot in — after the rename the
+  //    main area recovers on its own.
   auto mgr = std::make_unique<CheckpointManager>(config_, newHash, seed_);
   mgr->setCrashInjector(crash_);
-  if (!mgr->beginFresh(error)) return false;
-  if (!mgr->snapshotFinal(post, error)) return false;
+  if (!mgr->beginFresh(error) || !mgr->adoptSnapshot(staged, error))
+    return false;
   mainMgr_ = std::move(mgr);
-  // Stale rerun files are harmless (hash-keyed); the next beginRerun
-  // recreates the area from scratch.
-  rerunMgr_.reset();
   return true;
 }
 
@@ -454,9 +442,7 @@ bool DeltaJournalSink::opAbort(std::uint32_t txid, std::string* error) {
   DeltaRecord rec;
   rec.kind = DeltaOpKind::kAbort;
   rec.txid = txid;
-  if (!wal_.append(rec, error)) return false;
-  rerunMgr_.reset();
-  return true;
+  return wal_.append(rec, error);
 }
 
 bool DeltaJournalSink::flushFinal(const ClassifierCheckpoint& ckpt,

@@ -1,25 +1,21 @@
 // Delta write-ahead log + transaction sink (DESIGN.md §14).
 //
 // Every delta transaction is journaled to `deltas.wal` in the checkpoint
-// directory BEFORE the reclassifier acts on it, so a crash at any stage
-// recovers to exactly the pre-delta or the post-delta ontology — never a
-// hybrid:
+// directory before it commits, so a crash at any stage recovers to exactly
+// the pre-delta or the post-delta ontology — never a hybrid:
 //
-//   deltas.wal     — begin / add / retract / commit / abort records, one
-//                    per staged operation, CRC32-protected, torn-tail
-//                    tolerant. Commit and abort records are force-synced:
-//                    a transaction is committed iff its commit record is
-//                    durable.
-//   delta-rerun/   — a private checkpoint area (CheckpointManager) for the
-//                    cone rerun of the transaction in flight, keyed by the
-//                    POST-delta ontology hash. A crash mid-rerun leaves
-//                    partial progress here that recovery simply ignores
-//                    (no commit record → the transaction never happened).
+//   deltas.wal     — begin / add / retract / commit / abort records,
+//                    CRC32-protected, torn-tail tolerant. Only commit and
+//                    abort records are force-synced: a transaction is
+//                    committed iff its commit record is durable, and that
+//                    sync covers the earlier records of the same file.
+//   delta-rerun/   — where a commit stages its one snapshot write (the
+//                    post-delta state), durable before the commit record.
+//                    The cone rerun itself does no I/O.
 //   <main area>    — journal.wal + ckpt-*.snap of the committed
-//                    generation. opCommit() re-anchors it at the
-//                    post-delta state only AFTER the commit record is
-//                    durable; the window between those two steps is
-//                    covered by the final rerun snapshot in delta-rerun/.
+//                    generation, re-anchored by opCommit() only AFTER the
+//                    commit record is durable, by renaming the staged
+//                    snapshot in; until then delta-rerun/ covers a crash.
 //
 // File layout of deltas.wal (little-endian):
 //   header : magic "OWLDLTA1" | u32 version | u64 baseHash |
@@ -77,12 +73,15 @@ class DeltaJournal {
   bool isOpen() const { return fd_ >= 0; }
   void close();
 
-  /// Appends one record and makes it durable (every delta record is
-  /// force-synced — they are human-scale rare and each one gates a state
-  /// transition). Consults the kDeltaTornWrite crash point.
+  /// Appends one record. Commit and abort records are fdatasync'd before
+  /// return (that one sync also makes the transaction's earlier records
+  /// durable); begin/add/retract records are not. Consults the
+  /// kDeltaTornWrite crash point.
   bool append(const DeltaRecord& rec, std::string* error);
 
   std::uint64_t appendCount() const;
+  /// fdatasync calls made on the log since open() (header included).
+  std::uint64_t syncCount() const;
   void setCrashInjector(CrashInjector* crash) { crash_ = crash; }
 
   /// Reads every valid record, stopping at the first torn/corrupt one. A
@@ -96,6 +95,7 @@ class DeltaJournal {
   mutable std::mutex mu_;
   int fd_ = -1;
   std::uint64_t appends_ = 0;
+  std::uint64_t syncs_ = 0;
   CrashInjector* crash_ = nullptr;
 };
 
@@ -134,8 +134,8 @@ bool recoverDeltaState(const std::string& walPath, std::uint64_t baseHash,
 /// DeltaTxnSink over deltas.wal + the checkpoint areas described above.
 class DeltaJournalSink : public DeltaTxnSink {
  public:
-  /// `config.dir` is the main checkpoint directory; the rerun area lives
-  /// in its `delta-rerun/` subdirectory with the same cadence/policy.
+  /// `config.dir` is the main checkpoint directory; commits stage their
+  /// snapshot in its `delta-rerun/` subdirectory.
   DeltaJournalSink(CheckpointConfig config, std::uint64_t seed);
 
   /// Adopts the main-area manager (already recovered or begun fresh by the
@@ -161,8 +161,7 @@ class DeltaJournalSink : public DeltaTxnSink {
   /// commits may have replaced since the CLI created the original one).
   bool flushFinal(const ClassifierCheckpoint& ckpt, std::string* error);
 
-  CheckpointManager* mainManager() { return mainMgr_.get(); }
-  std::uint64_t walAppends() const { return wal_.appendCount(); }
+  std::uint64_t walSyncs() const { return wal_.syncCount(); }
 
   static std::string walPath(const std::string& dir) {
     return dir + "/deltas.wal";
@@ -176,7 +175,7 @@ class DeltaJournalSink : public DeltaTxnSink {
   std::uint64_t seed_;
   DeltaJournal wal_;
   std::unique_ptr<CheckpointManager> mainMgr_;
-  std::unique_ptr<CheckpointManager> rerunMgr_;
+  std::unique_ptr<CheckpointHook> rerunHook_;  // I/O-free, per rerun
   CrashInjector* crash_ = nullptr;
 };
 

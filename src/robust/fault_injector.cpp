@@ -36,6 +36,8 @@ const char* crashPointName(CrashPoint p) {
       return "mid-rerun";
     case CrashPoint::kCrashPreCommit:
       return "pre-commit";
+    case CrashPoint::kCrashPostCommit:
+      return "post-commit";
     case CrashPoint::kCrashMidRollback:
       return "mid-rollback";
   }
@@ -47,7 +49,8 @@ CrashPoint parseCrashPoint(const std::string& name) {
        {CrashPoint::kTornWrite, CrashPoint::kCrashAfterJournal,
         CrashPoint::kCrashBeforeSnapshotRename, CrashPoint::kCrashAtBarrier,
         CrashPoint::kDeltaTornWrite, CrashPoint::kCrashMidRerun,
-        CrashPoint::kCrashPreCommit, CrashPoint::kCrashMidRollback})
+        CrashPoint::kCrashPreCommit, CrashPoint::kCrashPostCommit,
+        CrashPoint::kCrashMidRollback})
     if (name == crashPointName(p)) return p;
   return CrashPoint::kNone;
 }

@@ -92,13 +92,18 @@ enum class CrashPoint : std::uint8_t {
   /// reaches deltas.wal (recovery must truncate the torn op and treat the
   /// transaction as never begun / still open).
   kDeltaTornWrite,
-  /// Crash after the Nth journaled verdict of a delta cone rerun: the
-  /// rerun's own checkpoint area holds partial progress, but no commit
-  /// record exists — recovery must land on the pre-delta taxonomy.
+  /// Crash at the Nth verdict a delta cone rerun settles. The rerun does
+  /// no I/O, so nothing of it is on disk and no commit record exists —
+  /// recovery must land on the pre-delta taxonomy.
   kCrashMidRerun,
-  /// Crash after the rerun completed but before the commit record is
-  /// appended to deltas.wal: same recovery outcome as mid-rerun.
+  /// Crash after the post-delta snapshot is staged in delta-rerun/ but
+  /// before the commit record is appended to deltas.wal: same recovery
+  /// outcome as mid-rerun.
   kCrashPreCommit,
+  /// Crash once the commit record is durable, before the main checkpoint
+  /// area is re-anchored: recovery must re-anchor it from the snapshot
+  /// staged in delta-rerun/ and land on the post-delta taxonomy.
+  kCrashPostCommit,
   /// Crash during rollback, before the abort record is appended: the
   /// pre-delta state is still anchored; recovery replays the abort.
   kCrashMidRollback,
@@ -146,7 +151,8 @@ class CrashInjector {
   }
 
   // Delta transaction stages (consulted by DeltaJournal / DeltaJournalSink;
-  // ordinals count delta-WAL appends resp. journaled rerun verdicts).
+  // ordinals count delta-WAL appends resp. settled rerun verdicts; the
+  // commit and rollback stages fire on their first occurrence).
   bool deltaTornWriteNow(std::uint64_t appendOrdinal) const {
     return plan_.point == CrashPoint::kDeltaTornWrite &&
            appendOrdinal == plan_.after;
@@ -157,6 +163,9 @@ class CrashInjector {
   }
   bool crashPreCommitNow() const {
     return plan_.point == CrashPoint::kCrashPreCommit;
+  }
+  bool crashPostCommitNow() const {
+    return plan_.point == CrashPoint::kCrashPostCommit;
   }
   bool crashMidRollbackNow() const {
     return plan_.point == CrashPoint::kCrashMidRollback;

@@ -3,10 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
 
 #include "robust/fault_injector.hpp"
+#include "robust/file_io.hpp"
 #include "util/bitset.hpp"
 #include "util/crc32.hpp"
 
@@ -14,32 +14,10 @@ namespace owlcl {
 
 namespace {
 
+using namespace fileio;
+
 constexpr char kMagic[8] = {'O', 'W', 'L', 'J', 'R', 'N', 'L', '1'};
 constexpr std::uint32_t kVersion = 1;
-
-void putU32(unsigned char* p, std::uint32_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-  p[2] = static_cast<unsigned char>(v >> 16);
-  p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void putU64(unsigned char* p, std::uint64_t v) {
-  putU32(p, static_cast<std::uint32_t>(v));
-  putU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t getU32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t getU64(const unsigned char* p) {
-  return static_cast<std::uint64_t>(getU32(p)) |
-         (static_cast<std::uint64_t>(getU32(p + 4)) << 32);
-}
 
 void encodeHeader(unsigned char* h, std::uint64_t ontologyHash,
                   std::uint64_t seed) {
@@ -62,43 +40,6 @@ void encodeRecord(unsigned char* r, SettledKind kind, ConceptId x, ConceptId y,
 bool validKind(unsigned char k) {
   return k >= static_cast<unsigned char>(SettledKind::kSubsumption) &&
          k <= static_cast<unsigned char>(SettledKind::kUnresolvedConcept);
-}
-
-bool writeAll(int fd, const unsigned char* p, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Reads the whole file into `bytes`; false on open/read error (a missing
-/// file is reported via `exists`).
-bool readFile(const std::string& path, std::vector<unsigned char>* bytes,
-              bool* exists) {
-  *exists = false;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return errno == ENOENT;
-  *exists = true;
-  bytes->clear();
-  unsigned char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    bytes->insert(bytes->end(), buf, buf + n);
-  }
-  ::close(fd);
-  return true;
 }
 
 /// Header check on an in-memory journal image. Returns the number of

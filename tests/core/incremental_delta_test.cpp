@@ -905,5 +905,48 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeltaSweep,
                          ::testing::Combine(::testing::Values(1, 2, 3, 4),
                                             ::testing::Values(1, 4)));
 
+// A leaf added under an impure parent (its ⊥-module reaches a ∀ axiom) is
+// impure itself, so routing settles none of its pairs and the tableau
+// decides them. Only its column — who subsumes the leaf — can hold a
+// subsumption: no concept outside the one-concept cone is subsumed by a
+// new name, so its row is settled without a test.
+TEST(DeltaReclassify, LeafUnderImpureParentRetestsOnlyItsColumn) {
+  GenConfig gc;
+  gc.name = "impure";
+  gc.concepts = 120;
+  gc.subClassEdges = 150;
+  gc.existentialAxioms = 20;
+  gc.seed = 11;
+  const GeneratedOntology g = generateOntology(gc);
+
+  ClassifierConfig cfg;
+  cfg.routeEl = ElRouting::kOn;
+  Rig rig(1, cfg);
+  const std::string parent = fsEntityName(g.tbox->conceptName(5));
+  const std::string filler = fsEntityName(g.tbox->conceptName(7));
+  std::vector<std::string> stmts = statementsFromTBox(*g.tbox);
+  stmts.push_back("Declaration(ObjectProperty(impureRole))");
+  stmts.push_back("SubClassOf(" + parent +
+                  " ObjectAllValuesFrom(impureRole " + filler + "))");
+  std::string err;
+  ASSERT_TRUE(buildTBoxFromStatements(stmts, rig.tbox, &err)) << err;
+  rig.classifyBase();
+  const std::size_t n = rig.tbox.conceptCount();
+  auto delta = rig.makeDelta();
+
+  DeltaCommitInfo info;
+  ASSERT_TRUE(delta->beginTxn(&err)) << err;
+  ASSERT_TRUE(delta->stageAdd("Declaration(Class(ImpureLeaf))", &err)) << err;
+  ASSERT_TRUE(delta->stageAdd("SubClassOf(ImpureLeaf " + parent + ")", &err))
+      << err;
+  ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
+  EXPECT_EQ(info.coneSize, 1u);
+  EXPECT_EQ(rig.generationTaxonomy(*delta),
+            rig.scratchTaxonomy(delta->statements()));
+  // Reopening the leaf's whole row as well took 238 tests here (about 2n);
+  // the column alone is at most n.
+  EXPECT_LE(info.subsumptionTests, n);
+}
+
 }  // namespace
 }  // namespace owlcl

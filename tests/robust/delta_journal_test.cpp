@@ -1,15 +1,19 @@
 // Delta WAL layer: record codec round-trips, torn-tail tolerance, header
-// validation, log folding into transactions, and full recoverDeltaState
-// replay with per-transaction hash cross-checks.
+// validation, log folding into transactions, full recoverDeltaState
+// replay with per-transaction hash cross-checks, and the read that rescues
+// a main area left behind by a crash after the commit record.
 #include "robust/delta_journal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "core/pk_store.hpp"
 #include "owl/parser.hpp"
 #include "robust/checkpoint.hpp"
 #include "support/test_dir.hpp"
@@ -223,6 +227,64 @@ TEST(DeltaRecovery, MissingWalIsBaseState) {
   EXPECT_EQ(out.committedTxns, 0u);
   EXPECT_FALSE(out.hadOpenTxn);
   EXPECT_EQ(out.nextTxnId, 1u);
+}
+
+// A delta-rerun/ area as older builds left it: the rerun journaled its
+// verdicts and snapshotted at every barrier, and the commit's final
+// snapshot follows every journal record. The rescue read must land on that
+// final snapshot and leave every file there as it was.
+TEST(DeltaRescue, ReadsTheFinalSnapshotOfAJournaledRerunArea) {
+  const std::string dir = test::perTestDir();
+  const std::string rerun = DeltaJournalSink::rerunDir(dir);
+  constexpr std::uint64_t kHash = 0xC0FFEE, kSeed = 42;
+  PkStore store(12);
+  store.initPossibleAll();
+  const auto capture = [&store](std::uint64_t rounds) {
+    ClassifierCheckpoint c;
+    c.progress = {1, rounds, rounds};
+    c.store = store.captureImage();
+    return c;
+  };
+  CheckpointConfig cc;
+  cc.dir = rerun;
+  CheckpointManager area(cc, kHash, kSeed);
+  std::string err;
+  ASSERT_TRUE(area.beginFresh(&err)) << err;
+  area.epochBarrier({1, 0, 0}, [&] { return capture(0); });  // genesis
+  for (ConceptId y = 1; y < 6; ++y) {
+    store.recordNonSubsumption(0, y);
+    area.recordSettled(SettledKind::kNonSubsumption, 0, y, 1);
+  }
+  area.epochBarrier({1, 1, 1}, [&] { return capture(1); });
+  store.recordSubsumption(2, 3);
+  area.recordSettled(SettledKind::kSubsumption, 2, 3, 2);
+  const ClassifierCheckpoint post = capture(2);
+  ASSERT_TRUE(area.snapshotFinal(post, &err)) << err;
+
+  const auto files = [&rerun] {
+    std::map<std::string, std::string> out;
+    for (const auto& e : fs::directory_iterator(rerun)) {
+      std::ifstream in(e.path(), std::ios::binary);
+      out[e.path().filename().string()] = {
+          std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    }
+    return out;
+  };
+  const std::map<std::string, std::string> before = files();
+  ASSERT_EQ(before.count("journal.wal"), 1u);
+  ASSERT_GE(before.size(), 3u);  // the journal plus >= 2 snapshots
+
+  ClassifierCheckpoint got;
+  ASSERT_TRUE(readNewestSnapshot(rerun, kHash, kSeed, &got, &err)) << err;
+  EXPECT_EQ(got.progress.completedRounds, 2u);
+  EXPECT_EQ(got.store.pWords, post.store.pWords);
+  EXPECT_EQ(got.store.kWords, post.store.kWords);
+  EXPECT_EQ(got.store.testedWords, post.store.testedWords);
+  EXPECT_EQ(got.store.possibleCount, post.store.possibleCount);
+  EXPECT_EQ(files(), before);
+
+  // A different post-delta ontology finds nothing to rescue.
+  EXPECT_FALSE(readNewestSnapshot(rerun, kHash + 1, kSeed, &got, &err));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Delta-transaction kill drills against the real CLI binary: the process
-// dies (_exit 137) at the four delta crash points — mid-WAL-append
-// (delta-journal), mid cone rerun (mid-rerun), between the rerun and the
-// durable commit record (pre-commit), and during rollback (mid-rollback).
+// dies (_exit 137) at the five delta crash points — mid-WAL-append
+// (delta-journal), mid cone rerun (mid-rerun), between the staged
+// post-delta snapshot and the durable commit record (pre-commit), between
+// the commit record and the main-area re-anchor (post-commit), and during
+// rollback (mid-rollback).
 // A `--resume` run must then land on exactly the pre-delta or the
 // post-delta taxonomy, never a hybrid: resumed WITH the delta script it
 // byte-matches the uninterrupted post-delta run (uncommitted transactions
@@ -110,7 +112,8 @@ class DeltaKillResumeTest : public ::testing::Test {
   /// Crash at `crashSpec` during the delta replay, then resume twice: with
   /// the script (must byte-match the post-delta golden) and — from a COPY
   /// of the crashed directory — without it (must byte-match a committed
-  /// prefix: pre-delta or post-delta, never a hybrid).
+  /// prefix: pre-delta or post-delta, never a hybrid). The two resumes'
+  /// stderr land in errPath(name) and errPath(name + "-noreplay").
   void drill(const std::string& name, const std::string& crashSpec) {
     const std::string dir = base_ + "/ckpt-" + name;
     const int crashRc = run(cmd(dir, "--apply-deltas=" + script_ +
@@ -124,19 +127,23 @@ class DeltaKillResumeTest : public ::testing::Test {
     const std::string out = base_ + "/" + name + ".txt";
     const int resumeRc = run(cmd(dir, "--apply-deltas=" + script_ +
                                           " --resume") +
-                             " > " + out + " 2>/dev/null");
+                             " > " + out + " 2> " + errPath(name));
     ASSERT_EQ(resumeRc, 0) << name << ": resume failed";
     EXPECT_EQ(slurp(goldenDelta_), slurp(out))
         << name << ": resume-with-script is not the post-delta taxonomy";
 
     const std::string out2 = base_ + "/" + name + "-noreplay.txt";
-    const int bareRc =
-        run(cmd(dirCopy, "--resume") + " > " + out2 + " 2>/dev/null");
+    const int bareRc = run(cmd(dirCopy, "--resume") + " > " + out2 + " 2> " +
+                           errPath(name + "-noreplay"));
     ASSERT_EQ(bareRc, 0) << name << ": bare resume failed";
     const std::string bare = slurp(out2);
     EXPECT_TRUE(bare == slurp(goldenBase_) || bare == slurp(goldenDelta_) ||
                 bare == committedPrefixGolden(dirCopy))
         << name << ": bare resume is a hybrid taxonomy:\n" << bare;
+  }
+
+  std::string errPath(const std::string& name) const {
+    return base_ + "/" + name + ".err";
   }
 
   /// Golden for "only the transactions durably committed before the
@@ -178,6 +185,19 @@ TEST_F(DeltaKillResumeTest, CrashMidConeRerun) {
 
 TEST_F(DeltaKillResumeTest, CrashBetweenRerunAndCommitRecord) {
   drill("pre-commit", "point=pre-commit,after=1");
+}
+
+TEST_F(DeltaKillResumeTest, CrashBetweenCommitRecordAndReanchor) {
+  // Transaction 1's commit record is durable; the main area still holds
+  // generation 0, so both resumes must re-anchor it from the snapshot
+  // staged in delta-rerun/.
+  drill("post-commit", "point=post-commit,after=1");
+  if (HasFatalFailure()) return;
+  for (const std::string& err :
+       {errPath("post-commit"), errPath("post-commit-noreplay")})
+    EXPECT_NE(slurp(err).find("re-anchored from delta-rerun/"),
+              std::string::npos)
+        << err << ":\n" << slurp(err);
 }
 
 TEST_F(DeltaKillResumeTest, CrashDuringRollback) {

@@ -1,11 +1,13 @@
-// Journaling cost of a delta commit (DESIGN.md §14): a leaf add or
-// retract reopens one concept, and the rerun must journal on the order of
-// n verdicts for it — routing settles only the reopened pairs — not the
-// n² verdicts of re-routing the whole ontology.
+// I/O cost of a delta commit (DESIGN.md §14): a leaf add or retract
+// reopens one concept, and the rerun must settle on the order of n
+// verdicts for it — routing settles only the reopened pairs — not the n²
+// verdicts of re-routing the whole ontology; and the commit writes its
+// post-delta state once, with one delta-WAL sync.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -181,6 +183,81 @@ TEST(DeltaRerunJournal, LeafCommitJournalsLinearlyManyVerdicts) {
   EXPECT_LE(sink.rerunVerdicts(), 4 * (n + 1))
       << "a retract-leaf rerun journaled " << sink.rerunVerdicts()
       << " verdicts for " << n + 1 << " concepts";
+}
+
+TEST(DeltaRerunJournal, LeafCommitWritesOneSnapshotAndSyncsTheWalOnce) {
+  GenConfig gc;
+  gc.name = "writes";
+  gc.concepts = 60;
+  gc.subClassEdges = 80;
+  gc.existentialAxioms = 10;
+  gc.seed = 3;
+  const GeneratedOntology g = generateOntology(gc);
+  TBox& tbox = *g.tbox;
+
+  ClassifierConfig config;
+  config.routeEl = ElRouting::kAuto;
+  ThreadPool pool(2);
+  RealExecutor exec(pool);
+  TableauReasoner reasoner(tbox);
+  ParallelClassifier classifier(tbox, reasoner, config);
+  const ClassificationResult base = classifier.classify(exec);
+  ASSERT_TRUE(base.complete());
+
+  CheckpointConfig cc;
+  cc.dir = test::perTestDir();
+  const std::uint64_t hash = ontologyContentHash(tbox);
+  auto mainMgr = std::make_unique<CheckpointManager>(cc, hash, config.seed);
+  std::string err;
+  ASSERT_TRUE(mainMgr->beginFresh(&err)) << err;
+  DeltaJournalSink sink(cc, config.seed);
+  ASSERT_TRUE(sink.open(hash, std::move(mainMgr), /*truncateWal=*/true, &err))
+      << err;
+
+  DeltaReclassifier delta(
+      exec,
+      [](const TBox& t) -> std::shared_ptr<ReasonerPlugin> {
+        return std::make_shared<TableauReasoner>(const_cast<TBox&>(t));
+      },
+      config);
+  delta.adoptInitial(noOwn<const TBox>(&tbox), noOwn<ReasonerPlugin>(&reasoner),
+                     noOwn<ParallelClassifier>(&classifier),
+                     noOwn<const ClassificationResult>(&base));
+  delta.setSink(&sink);
+
+  const std::string leafAxiom =
+      "SubClassOf(WriteLeaf " + fsEntityName(tbox.conceptName(0)) + ")";
+  const auto commit = [&](const char* what, const std::vector<StagedOp>& ops) {
+    const std::uint64_t writes = snapshotFileWrites();
+    const std::uint64_t syncs = sink.walSyncs();
+    DeltaCommitInfo info;
+    ASSERT_TRUE(delta.beginTxn(&err)) << err;
+    for (const StagedOp& op : ops)
+      ASSERT_TRUE(op.isAdd ? delta.stageAdd(op.stmt, &err)
+                           : delta.stageRetract(op.stmt, &err))
+          << err;
+    ASSERT_TRUE(delta.commitTxn(&info, &err)) << err;
+    EXPECT_EQ(info.coneSize, 1u) << what;
+    EXPECT_EQ(snapshotFileWrites() - writes, 1u) << what;
+    EXPECT_EQ(sink.walSyncs() - syncs, 1u) << what;
+
+    // The one snapshot was renamed from the staging area into the main
+    // area, and it is the committed generation's state.
+    EXPECT_TRUE(std::filesystem::is_empty(DeltaJournalSink::rerunDir(cc.dir)))
+        << what;
+    const DeltaGeneration gen = delta.generation();
+    ClassifierCheckpoint onDisk;
+    ASSERT_TRUE(readNewestSnapshot(cc.dir, ontologyContentHash(*gen.tbox),
+                                   config.seed, &onDisk, &err))
+        << what << ": " << err;
+    const ClassifierCheckpoint live = gen.classifier->captureCheckpoint();
+    EXPECT_EQ(onDisk.store.pWords, live.store.pWords) << what;
+    EXPECT_EQ(onDisk.store.kWords, live.store.kWords) << what;
+    EXPECT_EQ(onDisk.store.sat, live.store.sat) << what;
+  };
+  commit("add-leaf",
+         {{true, "Declaration(Class(WriteLeaf))"}, {true, leafAxiom}});
+  commit("retract-leaf", {{false, leafAxiom}});
 }
 
 }  // namespace

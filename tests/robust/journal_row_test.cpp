@@ -64,11 +64,9 @@ std::uint64_t anatomyHash() {
 
 /// One-worker, told-seeded, routed classification of anatomy.obo,
 /// journaled into `dir` — through the manager's row path, or through
-/// PerVerdictHook when `perVerdict`. `deltaRerun` arms the mid-rerun
-/// crash point's verdict counter from the first record on.
+/// PerVerdictHook when `perVerdict`.
 JournaledRun classifyAnatomy(const std::string& dir, bool perVerdict,
-                             CrashInjector* crash = nullptr,
-                             bool deltaRerun = false) {
+                             CrashInjector* crash = nullptr) {
   TBox tbox;
   parseAnatomy(tbox);
   ClassifierConfig config;
@@ -80,7 +78,6 @@ JournaledRun classifyAnatomy(const std::string& dir, bool perVerdict,
   mgr.setCrashInjector(crash);
   std::string err;
   EXPECT_TRUE(mgr.beginFresh(&err)) << err;
-  if (deltaRerun) mgr.markDeltaRerun();
   PerVerdictHook forward(mgr);
   config.checkpoint = perVerdict ? static_cast<CheckpointHook*>(&forward)
                                  : static_cast<CheckpointHook*>(&mgr);
@@ -195,18 +192,6 @@ TEST_F(JournalRowTest, CrashAfterAppendInsideRoutedRowLeavesPerRecordPrefix) {
   const std::string dir = base_ + "/after-journal";
   CrashInjector crash(CrashPlan{CrashPoint::kCrashAfterJournal, n});
   EXPECT_EXIT(classifyAnatomy(dir, false, &crash),
-              ::testing::ExitedWithCode(137), "");
-  expectPrefix(dir,
-               ResultJournal::kHeaderBytes +
-                   (n + 1) * ResultJournal::kRecordBytes,
-               n + 1);
-}
-
-TEST_F(JournalRowTest, MidRerunCrashInsideRoutedRowLeavesPerRecordPrefix) {
-  const std::uint64_t n = ordinalInsideRoutedRow();
-  const std::string dir = base_ + "/mid-rerun";
-  CrashInjector crash(CrashPlan{CrashPoint::kCrashMidRerun, n});
-  EXPECT_EXIT(classifyAnatomy(dir, false, &crash, /*deltaRerun=*/true),
               ::testing::ExitedWithCode(137), "");
   expectPrefix(dir,
                ResultJournal::kHeaderBytes +

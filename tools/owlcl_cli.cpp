@@ -55,9 +55,9 @@
 //                        fault point, for the kill-and-resume drills. P is
 //                        torn-write | after-journal | before-rename | at-barrier
 //                        or a delta transaction stage: delta-journal |
-//                        mid-rerun | pre-commit | mid-rollback;
-//                        N is the triggering journal-append / barrier /
-//                        rerun-verdict ordinal.
+//                        mid-rerun | pre-commit | post-commit |
+//                        mid-rollback; N is the triggering journal-append /
+//                        barrier / rerun-verdict ordinal.
 //
 // classify incremental options (transactional deltas, DESIGN.md §14):
 //   --apply-deltas=F     replay a delta script after classification: each
@@ -681,15 +681,16 @@ bool setupCheckpoints(const Options& o, const TBox& tbox,
   if (o.resume) {
     if (!out->manager->recover(&out->resumeFrom, &err)) {
       // A crash between the durable delta-commit record and the main-area
-      // re-anchor leaves the main area one generation behind; the final
-      // rerun snapshot in delta-rerun/ covers exactly that window.
+      // re-anchor leaves the main area one generation behind; the
+      // post-delta snapshot staged in delta-rerun/ covers exactly that
+      // window (it is the newest snapshot there, whatever else an older
+      // build left beside it).
       bool rescued = false;
       if (out->effectiveTbox != nullptr) {
-        CheckpointConfig rc = cc;
-        rc.dir = DeltaJournalSink::rerunDir(o.checkpointDir);
-        CheckpointManager rerun(rc, anchor, config.seed);
         std::string rerunErr;
-        if (rerun.recover(&out->resumeFrom, &rerunErr)) {
+        if (readNewestSnapshot(DeltaJournalSink::rerunDir(o.checkpointDir),
+                               anchor, config.seed, &out->resumeFrom,
+                               &rerunErr)) {
           std::string anchorErr;
           if (out->manager->beginFresh(&anchorErr) &&
               out->manager->snapshotFinal(out->resumeFrom, &anchorErr)) {
