@@ -70,7 +70,8 @@ struct WorkloadResult {
 /// inside one module, so the workload must actually have modules.
 WorkloadResult runWorkload(const std::string& name,
                            const std::vector<GenConfig>& modules,
-                           std::size_t workers, std::size_t txnCount) {
+                           std::size_t workers, std::size_t txnCount,
+                           ElRouting routeEl = ElRouting::kOff) {
   WorkloadResult wr;
   wr.name = name;
 
@@ -92,6 +93,7 @@ WorkloadResult runWorkload(const std::string& name,
   RealExecutor exec(pool);
   ClassifierConfig config;
   config.randomCycles = 1;
+  config.routeEl = routeEl;
 
   TableauReasoner reasoner(*tbox);
   ParallelClassifier classifier(*tbox, reasoner, config);
@@ -210,7 +212,7 @@ int main(int argc, char** argv) {
   // has a module-sized cone, not an ontology-sized one.
   const auto modules = [](const char* prefix, std::size_t count,
                           std::size_t conceptsEach, std::size_t edgesEach,
-                          unsigned seed) {
+                          unsigned seed, std::size_t universalEach = 0) {
     std::vector<GenConfig> mods;
     for (std::size_t m = 0; m < count; ++m) {
       GenConfig gc;
@@ -219,6 +221,8 @@ int main(int argc, char** argv) {
       gc.subClassEdges = edgesEach;
       gc.roles = 3;
       gc.existentialAxioms = conceptsEach / 6;
+      gc.universalAxioms = universalEach;
+      gc.nonElOnLeaves = universalEach != 0;
       gc.seed = seed + static_cast<unsigned>(m);
       mods.push_back(gc);
     }
@@ -233,6 +237,13 @@ int main(int argc, char** argv) {
   if (!quick)
     results.push_back(runWorkload(
         "inc-large", modules("ilg", 10, 55, 80, 21), workers, txns));
+  // EL-heavy with a ∀ residual on backbone leaves, routed: each rerun
+  // saturates the EL axioms of its cone's ⊥-module, and the parity check
+  // covers that module-local routing.
+  results.push_back(runWorkload(
+      "inc-routed", modules("ier", quick ? 4 : 6, quick ? 25 : 40,
+                               quick ? 34 : 56, 33, 2),
+      workers, txns, ElRouting::kAuto));
 
   std::printf("incremental bench — delta commit vs from-scratch%s\n",
               quick ? " [quick]" : "");

@@ -1,6 +1,7 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 
 #include "owl/bot_module.hpp"
@@ -11,32 +12,6 @@
 namespace owlcl {
 
 // --- canonical statement lists ----------------------------------------------
-
-std::vector<std::string> statementsFromTBox(const TBox& tbox) {
-  std::vector<std::string> stmts;
-  stmts.reserve(tbox.conceptCount() + tbox.roles().size() +
-                tbox.toldAxioms().size());
-  for (ConceptId c = 0; c < tbox.conceptCount(); ++c)
-    stmts.push_back("Declaration(Class(" + fsEntityName(tbox.conceptName(c)) +
-                    "))");
-  for (RoleId r = 0; r < tbox.roles().size(); ++r)
-    stmts.push_back("Declaration(ObjectProperty(" +
-                    fsEntityName(tbox.roles().name(r)) + "))");
-  for (const ToldAxiom& ax : tbox.toldAxioms())
-    stmts.push_back(toFunctionalSyntax(tbox, ax));
-  return stmts;
-}
-
-std::string renderStatements(const std::vector<std::string>& stmts) {
-  std::string doc = "Ontology(<http://owlcl/generated>\n";
-  for (const std::string& s : stmts) {
-    doc += "  ";
-    doc += s;
-    doc += '\n';
-  }
-  doc += ")\n";
-  return doc;
-}
 
 bool buildTBoxFromStatements(const std::vector<std::string>& stmts, TBox& out,
                              std::string* error) {
@@ -116,24 +91,27 @@ bool applyStagedOps(std::vector<std::string>& stmts,
 // --- affected-concept cone ---------------------------------------------------
 
 ConeResult computeAffectedCone(const TBox& oldTbox, const TBox& newTbox) {
-  // Changed axioms are the symmetric difference by canonical text.
-  // Annotations are logically inert: they are neither changed axioms nor
-  // module members, so an annotation-only delta has an empty cone.
+  // Changed axioms are the symmetric difference by canonical text, read
+  // off the statement lists (a told axiom's text follows the
+  // declarations). Annotations are logically inert: they are neither
+  // changed axioms nor module members, so an annotation-only delta has an
+  // empty cone.
   const auto texts = [](const TBox& t) {
-    std::vector<std::string> out;
-    out.reserve(t.toldAxioms().size());
-    for (const ToldAxiom& ax : t.toldAxioms())
-      out.push_back(ax.kind == AxiomKind::kAnnotation
-                        ? std::string()
-                        : toFunctionalSyntax(t, ax));
+    const std::vector<std::string>& stmts = t.canonicalStatements();
+    const std::vector<ToldAxiom>& told = t.toldAxioms();
+    const std::size_t decls = t.conceptCount() + t.roles().size();
+    std::vector<std::string_view> out(told.size());
+    for (std::size_t i = 0; i < told.size(); ++i)
+      if (told[i].kind != AxiomKind::kAnnotation) out[i] = stmts[decls + i];
     return out;
   };
-  const std::vector<std::string> oldText = texts(oldTbox);
-  const std::vector<std::string> newText = texts(newTbox);
-  std::unordered_map<std::string, long long> balance;  // new minus old copies
-  for (const std::string& t : oldText)
+  const std::vector<std::string_view> oldText = texts(oldTbox);
+  const std::vector<std::string_view> newText = texts(newTbox);
+  std::unordered_map<std::string_view, long long> balance;  // new minus old
+  balance.reserve(newText.size() + 1);
+  for (const std::string_view t : oldText)
     if (!t.empty()) --balance[t];
-  for (const std::string& t : newText)
+  for (const std::string_view t : newText)
     if (!t.empty()) ++balance[t];
 
   ConeResult result;
@@ -144,8 +122,9 @@ ConeResult computeAffectedCone(const TBox& oldTbox, const TBox& newTbox) {
   // asserted is already there as its new copy), seeded with the changed
   // axioms. A module over the union contains both the old and the new
   // module, so a concept the fixpoint does not reach has the same module —
-  // and the same subsumers and satisfiability — before and after.
-  const auto changed = [&balance](const std::string& t) {
+  // and the same subsumers and satisfiability — before and after. The new
+  // axioms go in first, so module axiom i < |new| is new told axiom i.
+  const auto changed = [&balance](std::string_view t) {
     return !t.empty() && balance.at(t) != 0;
   };
   BotModuleReach reach(newTbox.conceptCount(), newTbox.roles().size());
@@ -156,10 +135,24 @@ ConeResult computeAffectedCone(const TBox& oldTbox, const TBox& newTbox) {
       reach.addAxiom(oldTbox, oldTbox.toldAxioms()[i], /*seed=*/true);
   const DynamicBitset reached = reach.reachingSymbols();
 
+  const std::size_t n = newTbox.conceptCount();
   result.fullCone = reached.test(reach.always());
-  for (ConceptId c = 0; c < newTbox.conceptCount(); ++c)
+  for (ConceptId c = 0; c < n; ++c)
     if (result.fullCone || c >= oldTbox.conceptCount() || reached.test(c))
       result.cone.push_back(c);
+
+  result.moduleConcepts = DynamicBitset(n);
+  if (result.fullCone) {
+    result.moduleConcepts.setAll();
+    return result;
+  }
+  // The cone's module over old ∪ new, cut down to the new axioms: every
+  // new axiom outside it is ⊥-local w.r.t. the (larger) union signature.
+  BotModuleReach::Module module = reach.moduleOf(result.cone);
+  module.axioms.resize(newText.size());
+  result.moduleAxioms = std::move(module.axioms);
+  for (ConceptId c = 0; c < n; ++c)
+    if (module.signature.test(c)) result.moduleConcepts.set(c);
   return result;
 }
 
@@ -282,7 +275,6 @@ void DeltaReclassifier::adoptInitial(
   gen_ = DeltaGeneration{std::move(tbox),       std::move(plugin),
                          std::move(classifier), std::move(result),
                          /*snapshot=*/nullptr,  /*deltaEpoch=*/0};
-  statements_ = statementsFromTBox(*gen_.tbox);
 }
 
 void DeltaReclassifier::publishInitialResult(
@@ -408,11 +400,9 @@ bool DeltaReclassifier::commitTxn(DeltaCommitInfo* info, std::string* error) {
   const std::uint32_t txid = curTxnId_;
 
   DeltaGeneration pre;
-  std::vector<std::string> stmts;
   {
     std::lock_guard<std::mutex> glock(genMu_);
     pre = gen_;
-    stmts = statements_;
   }
   if (pre.classifier == nullptr || !pre.classifier->finished() ||
       pre.result == nullptr) {
@@ -427,6 +417,7 @@ bool DeltaReclassifier::commitTxn(DeltaCommitInfo* info, std::string* error) {
               "need a complete baseline", error);
 
   std::string why;
+  std::vector<std::string> stmts = statementsFromTBox(*pre.tbox);
   if (!applyStagedOps(stmts, ops_, &why))
     return rollbackLocked(txid, why, error);
 
@@ -464,9 +455,9 @@ bool DeltaReclassifier::commitTxn(DeltaCommitInfo* info, std::string* error) {
     return rollbackLocked(txid, "plug-in factory returned null", error);
 
   ClassifierConfig cfg = config_;
-  // The cone rows were never routed; re-routing them on resume is the EL
-  // fast path for the rerun (idempotent on the carried-over rows).
-  cfg.routeElOnResume = true;
+  // The reopened cone columns were never routed: the rerun routes them
+  // over the cone's module (DESIGN.md §14).
+  cfg.rerunCone = &cone;
   if (sink_ != nullptr) {
     cfg.checkpoint = sink_->beginRerun(*newTbox, cfg.seed, &why);
     if (cfg.checkpoint == nullptr)
@@ -514,12 +505,11 @@ bool DeltaReclassifier::commitTxn(DeltaCommitInfo* info, std::string* error) {
   out.subsumptionTests = result->subsumptionTests;
   {
     std::lock_guard<std::mutex> glock(genMu_);
+    // The next commit edits newTbox's own statement list, not `stmts`: it
+    // declares the new names in id order, so recovery's per-transaction
+    // regeneration lands on the identical list.
     gen_ = DeltaGeneration{newTbox, plugin, classifier, result,
                            std::move(snapshot), pre.deltaEpoch + 1};
-    // Regenerate rather than keep `stmts`: the canonical list declares the
-    // new names in id order, so recovery's per-transaction regeneration
-    // lands on the identical list.
-    statements_ = statementsFromTBox(*newTbox);
     out.deltaEpoch = gen_.deltaEpoch;
   }
   ops_.clear();
@@ -544,8 +534,9 @@ std::uint64_t DeltaReclassifier::deltaEpoch() const {
 }
 
 std::vector<std::string> DeltaReclassifier::statements() const {
-  std::lock_guard<std::mutex> lock(genMu_);
-  return statements_;
+  const DeltaGeneration gen = generation();
+  return gen.tbox == nullptr ? std::vector<std::string>()
+                             : statementsFromTBox(*gen.tbox);
 }
 
 }  // namespace owlcl

@@ -21,6 +21,7 @@
 
 #include "core/parallel_classifier.hpp"
 #include "core/plugin.hpp"
+#include "owl/printer.hpp"
 #include "owl/tbox.hpp"
 #include "taxonomy/snapshot.hpp"
 #include "taxonomy/taxonomy.hpp"
@@ -29,20 +30,9 @@ namespace owlcl {
 
 // --- transactional delta reclassification (DESIGN.md §14) --------------------
 
-// The ontology's canonical *statement list*: one functional-syntax
-// statement per line — Declaration(Class(...)) for every concept in id
-// order, Declaration(ObjectProperty(...)) for every role in id order,
-// then one canonical told-axiom rendering per asserted axiom in told
-// order. Reparsing the list reproduces the exact same concept/role ids
-// (declarations pin them), which is what makes deltas replayable: adds
-// append at the end (new names get ids past the old count), retracts
-// remove an axiom statement without ever shifting a declaration.
-
-/// Canonical statement list of a TBox (need not be frozen).
-std::vector<std::string> statementsFromTBox(const TBox& tbox);
-
-/// Renders a statement list as a parseable functional-syntax document.
-std::string renderStatements(const std::vector<std::string>& stmts);
+// Deltas edit the ontology's canonical statement list (owl/printer.hpp,
+// statementsFromTBox): adds append, retracts remove one axiom statement,
+// declarations pin every id.
 
 /// Parses a statement list into `out` (which must be fresh). Does not
 /// freeze. False with *error on a parse failure.
@@ -69,28 +59,13 @@ struct StagedOp {
 bool applyStagedOps(std::vector<std::string>& stmts,
                     const std::vector<StagedOp>& ops, std::string* error);
 
-/// Affected-concept cone of a delta, from ⊥-module reachability
-/// (owl/bot_module.hpp): one fixpoint over the old ∪ new told axioms,
-/// seeded with the changed ones. A concept's subsumers and satisfiability
-/// are decided by its ⊥-module, and a module over the union contains both
-/// the old and the new module, so a concept the fixpoint does not reach
-/// keeps every verdict in its matrix *column* (who subsumes it) and its
-/// sat status. Precondition: every concept/role name of `oldTbox` maps to
-/// the SAME id in `newTbox` (the statement-list discipline guarantees it;
-/// DeltaReclassifier verifies before calling).
-struct ConeResult {
-  /// Concepts whose verdicts may change (new-id space, sorted): every
-  /// concept whose ⊥-module over old ∪ new reaches a changed axiom, plus
-  /// all concepts new in `newTbox`. Adding or retracting SubClassOf(L P)
-  /// for a leaf L gives {L}. When `fullCone` is set, every concept.
-  std::vector<ConceptId> cone;
-  /// The always-module (axioms in every ⊥-module, e.g. with ⊤ on the
-  /// left) reaches a changed axiom, so every module may have changed —
-  /// the whole ontology is the cone.
-  bool fullCone = false;
-  /// Told axioms in the symmetric difference (by canonical text).
-  std::size_t changedAxioms = 0;
-};
+/// Affected-concept cone of a delta (ConeResult, core/parallel_classifier.hpp)
+/// and the ⊥-module of that cone, from one ⊥-module fixpoint over the old
+/// ∪ new told axioms (owl/bot_module.hpp), seeded with the changed ones.
+/// Precondition: every concept/role name of `oldTbox` maps to the SAME id
+/// in `newTbox` (the statement-list discipline guarantees it;
+/// DeltaReclassifier verifies before calling). Both TBoxes must be frozen:
+/// the changed-axiom diff reads their cached statement lists.
 ConeResult computeAffectedCone(const TBox& oldTbox, const TBox& newTbox);
 
 /// Builds the synthetic checkpoint a delta rerun resumes from: the cone
@@ -237,9 +212,8 @@ class DeltaReclassifier {
   DeltaTxnSink* sink_ = nullptr;
 
   mutable std::mutex txnMu_;   // serializes the transaction API
-  mutable std::mutex genMu_;   // guards gen_/statements_ (brief holds only)
+  mutable std::mutex genMu_;   // guards gen_ (brief holds only)
   DeltaGeneration gen_;
-  std::vector<std::string> statements_;
   std::atomic<bool> txnOpen_{false};  // lock-free txnOpen() for status paths
   std::uint32_t curTxnId_ = 0;
   std::uint32_t nextTxnId_ = 1;

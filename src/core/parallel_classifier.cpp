@@ -377,7 +377,8 @@ void ParallelClassifier::seedTold() {
 }
 
 void ParallelClassifier::routeElFragment(Executor& exec,
-                                         ClassificationResult& result) {
+                                         ClassificationResult& result,
+                                         const ConeResult* cone) {
   // Hybrid EL/tableau routing (DESIGN.md §13). Runs on the coordinating
   // thread between the genesis barrier and phase 1. Soundness:
   //  * the EL sub-ontology E is a subset of O, so every saturation-derived
@@ -391,10 +392,19 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   // reachability with transitive reduction, exactly as for told seeding.
   // Every seeded row is first masked with the row's current P words, so
   // routing settles — and journals — only pairs still open: told-seeded
-  // pairs on a fresh run, and the carried-over verdicts of a delta rerun
-  // (ClassifierConfig::routeElOnResume), are left as they are. A crash
-  // resume never re-routes — it replays the journaled records and
-  // tableau-tests whatever was not yet seeded.
+  // pairs on a fresh run, and the carried-over verdicts of a delta rerun,
+  // are left as they are. A crash resume never re-routes — it replays the
+  // journaled records and tableau-tests whatever was not yet seeded.
+  //
+  // A delta rerun (`cone` set, not full) has open pairs only in the cone
+  // columns, so it routes module-locally (DESIGN.md §14): it saturates
+  // only the EL axioms of the cone's ⊥-module, which holds the EL
+  // ⊥-module of every cone concept and so derives exactly its subsumers
+  // and satisfiability, and reads the saturation for cone concepts only.
+  // Every other concept's satisfiability comes from the carried-over
+  // image (settled before the delta, unchanged by it), its purity from
+  // the whole-TBox partition; nothing outside the cone gets a status
+  // from the module saturation.
   const std::uint64_t t0 = exec.elapsedNs();
   const std::size_t possibleBefore = store_.remainingPossible();
   const std::uint64_t testsBefore = satTests_.value() + subsTests_.value();
@@ -403,18 +413,45 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   if (part.elAxioms == 0) return;  // nothing to route
   if (config_.routeEl == ElRouting::kAuto && !part.majorityEl()) return;
 
-  // Saturate the maximal EL sub-ontology once, on this thread. Its time is
-  // the kRouting cycle entry below.
-  ElReasoner el(tbox_, part.axiomEl);
-  el.classify();
-
   const std::size_t n = store_.conceptCount();
+  const bool local = cone != nullptr && !cone->fullCone;
+  std::vector<std::uint8_t> axiomMask = part.axiomEl;
+  if (local)
+    for (std::size_t i = 0; i < axiomMask.size(); ++i)
+      axiomMask[i] &= cone->moduleAxioms[i];
+  std::uint64_t routedAxioms = 0;
+  for (std::size_t i = 0; i < axiomMask.size(); ++i)
+    if (axiomMask[i] != 0 &&
+        tbox_.toldAxioms()[i].kind != AxiomKind::kAnnotation)
+      ++routedAxioms;
+  // The concepts whose columns this routing decides, and the saturation
+  // verdict "satisfiable" for any concept (see above for the others).
+  std::vector<ConceptId> scope;
+  DynamicBitset inScope(n);
+  if (local) {
+    scope = cone->cone;
+    for (const ConceptId c : scope) inScope.set(c);
+  } else {
+    scope.resize(n);
+    for (ConceptId c = 0; c < n; ++c) scope[c] = c;
+    inScope.setAll();
+  }
+
+  // Saturate once, on this thread. Its time is the kRouting cycle entry
+  // below.
+  ElReasoner el(tbox_, std::move(axiomMask));
+  el.classify();
+  const auto elSat = [this, &el, &inScope](ConceptId c) {
+    return inScope.test(c) ? el.isSatisfiable(c)
+                           : store_.satStatus(c) == SatStatus::kSat;
+  };
+
   std::uint64_t avoided = 0;
 
   // Unsatisfiable concepts — sound for any concept, pure or tainted.
   // Mirrors ensureSat's unsat path (status, erase, journal) so the
   // taxonomy assigns them to ⊥ exactly as a tableau-only run would.
-  for (ConceptId c = 0; c < n; ++c) {
+  for (const ConceptId c : scope) {
     if (el.isSatisfiable(c)) continue;
     if (store_.satStatus(c) != SatStatus::kUnknown) continue;
     store_.setSatStatus(c, false);
@@ -433,7 +470,7 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   if (allowNegative && part.nonElAxioms > 0) {
     ConceptId guard = kInvalidConcept;
     for (ConceptId c = 0; c < n && guard == kInvalidConcept; ++c)
-      if (part.pureConcepts.test(c) && el.isSatisfiable(c)) guard = c;
+      if (part.pureConcepts.test(c) && elSat(c)) guard = c;
     if (guard != kInvalidConcept) {
       std::uint64_t cost = 0;
       allowNegative = ensureSat(guard, cost) == SatResult::kSat;
@@ -460,15 +497,17 @@ void ParallelClassifier::routeElFragment(Executor& exec,
     return won;
   };
 
-  // Positive closure → per-sup K row masks (lazily allocated), applied
-  // with the told-seeding bulk kernel. Unsat subs are handled above;
-  // forEachSubsumption's contract excludes the diagonal.
+  // Positive closure of the scope columns → per-sup K row masks (lazily
+  // allocated), applied with the told-seeding bulk kernel. Unsat subs are
+  // handled above; forEachSubsumer excludes the diagonal.
   std::vector<DynamicBitset> krow(n);
-  el.forEachSubsumption([&el, &krow, n](ConceptId sup, ConceptId sub) {
-    if (!el.isSatisfiable(sub)) return;
-    if (krow[sup].empty()) krow[sup] = DynamicBitset(n);
-    krow[sup].set(sub);
-  });
+  for (const ConceptId sub : scope) {
+    if (!el.isSatisfiable(sub)) continue;
+    el.forEachSubsumer(sub, [&krow, n, sub](ConceptId sup) {
+      if (krow[sup].empty()) krow[sup] = DynamicBitset(n);
+      krow[sup].set(sub);
+    });
+  }
   std::uint64_t seededK = 0;
   for (ConceptId x = 0; x < n; ++x)
     if (!krow[x].empty())
@@ -479,10 +518,12 @@ void ParallelClassifier::routeElFragment(Executor& exec,
     // Satisfiability of pure concepts comes straight from the fixpoint;
     // ensureSat short-circuits on the published status, so these concepts
     // never reach the tableau.
-    DynamicBitset pureSat(n);
+    DynamicBitset pureSat(n), pureSatCols(n);
     for (ConceptId c = 0; c < n; ++c) {
-      if (!part.pureConcepts.test(c) || !el.isSatisfiable(c)) continue;
+      if (!part.pureConcepts.test(c) || !elSat(c)) continue;
       pureSat.set(c);
+      if (!inScope.test(c)) continue;
+      pureSatCols.set(c);
       if (store_.satStatus(c) != SatStatus::kUnknown) continue;
       store_.setSatStatus(c, true);
       settle(SettledKind::kSatTrue, c, c);
@@ -499,10 +540,10 @@ void ParallelClassifier::routeElFragment(Executor& exec,
     for (ConceptId x = 0; x < n; ++x) {
       if (!pureSat.test(x)) continue;
       if (!krow[x].empty())
-        bk.andNotInto(mask.mutableWords(), pureSat.words(), krow[x].words(),
-                      mask.wordCountUsed());
+        bk.andNotInto(mask.mutableWords(), pureSatCols.words(),
+                      krow[x].words(), mask.wordCountUsed());
       else
-        mask.assignWords(pureSat.words(), pureSat.wordCountUsed());
+        mask.assignWords(pureSatCols.words(), pureSatCols.wordCountUsed());
       avoided += settleOpen(SettledKind::kNonSubsumption, x, mask);
     }
   }
@@ -510,11 +551,44 @@ void ParallelClassifier::routeElFragment(Executor& exec,
   routedConcepts_ = allowNegative ? part.pureCount : 0;
   routeSeeded_ = seededK;
   routeAvoided_ = avoided;
+  routedAxioms_ = routedAxioms;
 
   result.cycles.push_back(
       {CycleStats::Phase::kRouting, 0, possibleBefore,
        store_.remainingPossible(), exec.elapsedNs() - t0,
        satTests_.value() + subsTests_.value() - testsBefore});
+}
+
+void ParallelClassifier::settleOutsideModule(Executor& exec,
+                                             const ConeResult& cone) {
+  // Module-signature rule (DESIGN.md §14). Every axiom outside mod_⊥(cone)
+  // is ⊥-local w.r.t. its signature, so any model of the ontology,
+  // restricted to that signature with every other symbol made empty, is
+  // still a model. For a satisfiable cone concept y and x outside the
+  // signature that model keeps y non-empty and makes x empty: y ⋢ x.
+  // The cone's undecided sat tests run first, in parallel — the tests a
+  // group round would run anyway; a failed one leaves its column open.
+  bool anyPending = false;
+  for (const ConceptId y : cone.cone) {
+    if (store_.satStatus(y) != SatStatus::kUnknown) continue;
+    anyPending = true;
+    exec.dispatch(exec.pickWorker(config_.scheduling),
+                  [this, y]() -> std::uint64_t {
+                    std::uint64_t cost = 0;
+                    ensureSat(y, cost);
+                    return cost;
+                  });
+  }
+  if (anyPending) exec.barrier();
+
+  for (const ConceptId y : cone.cone) {
+    if (store_.satStatus(y) != SatStatus::kSat) continue;
+    store_.forEachPossibleInColumn(y, [this, &cone, y](ConceptId x) {
+      if (cone.moduleConcepts.test(x) || !store_.claimTest(x, y)) return;
+      store_.recordNonSubsumption(x, y);
+      settle(SettledKind::kNonSubsumption, x, y);
+    });
+  }
 }
 
 void ParallelClassifier::runRandomCycle(Executor& exec, std::size_t cycleIndex,
@@ -806,7 +880,8 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
     notifyBarrier(0, 0);
     started_.store(true, std::memory_order_release);
     if (config_.toldSeeding) seedTold();
-    if (config_.routeEl != ElRouting::kOff) routeElFragment(exec, result);
+    if (config_.routeEl != ElRouting::kOff)
+      routeElFragment(exec, result, nullptr);
   } else {
     store_.restoreImage(from->store);
     epoch_.store(from->progress.epoch, std::memory_order_relaxed);
@@ -819,11 +894,16 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
     notifyBarrier(startCycle, round);
     started_.store(true, std::memory_order_release);
     // Delta reruns (DESIGN.md §14) resume from a synthetic checkpoint whose
-    // reopened cone rows never saw a routing phase; route them now so the
-    // EL fragment settles at saturation speed. Crash-recovery resumes keep
-    // this off — their routed verdicts are already in the replayed journal.
-    if (config_.routeElOnResume && config_.routeEl != ElRouting::kOff)
-      routeElFragment(exec, result);
+    // reopened cone columns never saw a routing phase; route them now so
+    // the EL part settles at saturation speed, then settle what the cone's
+    // module signature rules out. Crash-recovery resumes pass no cone —
+    // their routed verdicts are already in the replayed journal.
+    if (const ConeResult* cone = config_.rerunCone; cone != nullptr) {
+      if (config_.routeEl != ElRouting::kOff)
+        routeElFragment(exec, result, cone);
+      if (!cone->fullCone && !stopRequested_.load(std::memory_order_relaxed))
+        settleOutsideModule(exec, *cone);
+    }
   }
   if (config_.watchdogBudgetNs != 0) exec.armWatchdog(config_.watchdogBudgetNs);
   const CancellationToken& cancel = exec.cancellation();
@@ -922,6 +1002,7 @@ ClassificationResult ParallelClassifier::run(Executor& exec,
   result.routedConcepts = routedConcepts_;
   result.saturationSeeded = routeSeeded_;
   result.testsAvoidedByRouting = routeAvoided_;
+  result.routedAxioms = routedAxioms_;
   result.failedTests = failedTests_.value();
   result.retriedTests = retriedTests_.value();
   // Engine-level numbers (zero for plug-ins without engine internals).

@@ -47,8 +47,36 @@
 #include "owl/tbox.hpp"
 #include "parallel/sharded_counter.hpp"
 #include "taxonomy/taxonomy.hpp"
+#include "util/bitset.hpp"
 
 namespace owlcl {
+
+/// The reopened part of a delta rerun (DESIGN.md §14), computed by
+/// computeAffectedCone (core/incremental.hpp). A concept's subsumers and
+/// satisfiability are decided by its ⊥-module, and a module over old ∪
+/// new contains both the old and the new module, so a concept outside the
+/// cone keeps every verdict in its matrix *column* (who subsumes it) and
+/// its sat status.
+struct ConeResult {
+  /// Concepts whose verdicts may change (new-id space, sorted): every
+  /// concept whose ⊥-module over old ∪ new reaches a changed axiom, plus
+  /// all concepts new in the rerun's TBox. Adding or retracting
+  /// SubClassOf(L P) for a leaf L gives {L}. When `fullCone` is set,
+  /// every concept.
+  std::vector<ConceptId> cone;
+  /// The always-module (axioms in every ⊥-module, e.g. with ⊤ on the
+  /// left) reaches a changed axiom, so every module may have changed —
+  /// the whole ontology is the cone.
+  bool fullCone = false;
+  /// Told axioms in the symmetric difference (by canonical text).
+  std::size_t changedAxioms = 0;
+  /// mod_⊥(cone): per told axiom of the rerun's TBox, whether it lies in
+  /// the cone's ⊥-module. Empty when `fullCone` (every axiom does).
+  std::vector<std::uint8_t> moduleAxioms;
+  /// The concepts of that module's signature (every concept when
+  /// `fullCone`). Every axiom outside the module is ⊥-local w.r.t. it.
+  DynamicBitset moduleConcepts;
+};
 
 /// Hybrid EL/tableau routing policy (DESIGN.md §13).
 enum class ElRouting : std::uint8_t {
@@ -84,15 +112,13 @@ struct ClassifierConfig {
   /// ⊥-module is all-EL), and the division phases then only test pairs
   /// with at least one non-EL concept. Byte-identical taxonomy to kOff.
   ElRouting routeEl = ElRouting::kOff;
-  /// Delta-rerun extension (DESIGN.md §14): run the routing phase on a
-  /// *resumed* store image too. Crash-recovery resumes must keep this off
-  /// (routed verdicts were journaled; replay restores them), but a delta
-  /// rerun starts from a synthetic checkpoint whose cone rows were never
-  /// routed — routing them here is the EL fast path for cone reruns.
-  /// Routing masks every row it seeds with P, so it settles only pairs
-  /// still open and is sound either way; the flag only exists to keep
-  /// recovery resumes byte-for-byte on their original journaled path.
-  bool routeElOnResume = false;
+  /// Delta rerun (DESIGN.md §14): the cone whose columns the resumed image
+  /// reopened. A resume with a cone routes only the cone columns, over
+  /// the EL axioms of the cone's ⊥-module, and settles a satisfiable cone
+  /// concept's column outside the module signature before group division.
+  /// Crash-recovery resumes leave it null: their routed verdicts are in
+  /// the replayed journal. Must outlive the run.
+  const ConeResult* rerunCone = nullptr;
   /// Group-division dispatch discipline. kSteal (default) hands tasks to
   /// the executor unpinned and lets work-stealing balance them; the
   /// paper's round-robin (Section III-A2) and the other disciplines remain
@@ -178,6 +204,9 @@ struct ClassificationResult {
   /// claims won by the positive + negative seeding sweeps, plus sat?()
   /// verdicts taken straight from the saturation fixpoint.
   std::uint64_t testsAvoidedByRouting = 0;
+  /// Told axioms the routing saturation consumed: the whole EL fragment on
+  /// a fresh run, the EL axioms of the cone's ⊥-module on a delta rerun.
+  std::uint64_t routedAxioms = 0;
 
   /// Reasoner calls actually performed this run.
   std::uint64_t testsPerformed() const { return satTests + subsumptionTests; }
@@ -339,7 +368,10 @@ class ParallelClassifier {
   void drainPossibleToUnresolved();
 
   void seedTold();
-  void routeElFragment(Executor& exec, ClassificationResult& result);
+  // `cone` non-null: a delta rerun's module-local routing (DESIGN.md §14).
+  void routeElFragment(Executor& exec, ClassificationResult& result,
+                       const ConeResult* cone);
+  void settleOutsideModule(Executor& exec, const ConeResult& cone);
   void runRandomCycle(Executor& exec, std::size_t cycleIndex,
                       std::vector<ConceptId>& order,
                       ClassificationResult& result);
@@ -369,6 +401,7 @@ class ParallelClassifier {
   std::uint64_t routedConcepts_ = 0;
   std::uint64_t routeSeeded_ = 0;
   std::uint64_t routeAvoided_ = 0;
+  std::uint64_t routedAxioms_ = 0;
   /// Division-round clock for the retry backoff: incremented after every
   /// random cycle and group round (barrier-separated from the tasks that
   /// read it).

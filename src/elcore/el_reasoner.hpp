@@ -58,30 +58,24 @@ class ElReasoner {
   /// All named strict subsumers of `sub` (excluding ⊤ and sub itself).
   std::vector<ConceptId> subsumersOf(ConceptId sub) const;
 
-  /// After classify(): invokes cb(sup, sub) once for every ordered named
-  /// pair with sup != sub and subsumes(sup, sub) — the full derived
-  /// subsumption closure, including the "unsatisfiable sub is under
-  /// everything" rows. The router consumes this to bulk-seed the
-  /// classifier's K matrix; callers that handle unsatisfiable concepts
-  /// separately should skip subs with !isSatisfiable(sub).
+  /// After classify(): invokes cb(sup) once for every named sup != sub
+  /// with subsumes(sup, sub) — every concept when sub is unsatisfiable.
+  /// The router reads every column it settles with this.
   template <typename Fn>
-  void forEachSubsumption(Fn&& cb) const {
+  void forEachSubsumer(ConceptId sub, Fn&& cb) const {
     OWLCL_ASSERT(classified_);
     const std::size_t n = tbox_.conceptCount();
-    for (std::size_t sub = 0; sub < n; ++sub) {
-      const ConceptId subC = static_cast<ConceptId>(sub);
-      const DynamicBitset& s = subsumers_[namedAtom(subC)];
-      if (s.test(kBotAtom)) {
-        for (std::size_t sup = 0; sup < n; ++sup)
-          if (sup != sub) cb(static_cast<ConceptId>(sup), subC);
-        continue;
-      }
-      s.forEachSetBit([&cb, subC, n](std::size_t a) {
-        if (a < 2 || a >= 2 + n) return;  // ⊤, ⊥ and normalisation atoms
-        const ConceptId sup = static_cast<ConceptId>(a - 2);
-        if (sup != subC) cb(sup, subC);
-      });
+    const DynamicBitset& s = subsumers_[namedAtom(sub)];
+    if (s.test(kBotAtom)) {
+      for (std::size_t sup = 0; sup < n; ++sup)
+        if (sup != sub) cb(static_cast<ConceptId>(sup));
+      return;
     }
+    s.forEachSetBit([&cb, sub, n](std::size_t a) {
+      if (a < 2 || a >= 2 + n) return;  // ⊤, ⊥ and normalisation atoms
+      const ConceptId sup = static_cast<ConceptId>(a - 2);
+      if (sup != sub) cb(sup);
+    });
   }
 
   /// Number of completion-rule applications performed (for benches).

@@ -146,22 +146,36 @@ BotModuleReach::BotModuleReach(std::size_t concepts, std::size_t roles)
 void BotModuleReach::addAxiom(const TBox& tbox, const ToldAxiom& ax,
                               bool seed) {
   const SymbolSpace sp{concepts_, always_};
-  std::vector<std::uint32_t>& trig = trig_.emplace_back();
-  std::vector<std::uint32_t>& sig = sig_.emplace_back();
+  thread_local std::vector<std::uint32_t> trig, sig;
+  trig.clear();
+  sig.clear();
   axiomSyms(tbox, sp, ax, trig, sig);
-  for (std::vector<std::uint32_t>* v : {&trig, &sig}) {
+  for (auto [v, lists] : {std::pair{&trig, &trig_}, std::pair{&sig, &sig_}}) {
     std::sort(v->begin(), v->end());
     v->erase(std::unique(v->begin(), v->end()), v->end());
+    lists->syms.insert(lists->syms.end(), v->begin(), v->end());
+    lists->start.push_back(static_cast<std::uint32_t>(lists->syms.size()));
   }
   seed_.push_back(seed ? 1 : 0);
 }
 
-DynamicBitset BotModuleReach::reachingSymbols() const {
+BotModuleReach::SymbolLists BotModuleReach::axiomsBySymbol(
+    const SymbolLists& lists) const {
   const std::size_t nSyms = always_ + 1;
-  std::vector<std::vector<std::uint32_t>> axiomsOfSym(nSyms);
-  for (std::size_t i = 0; i < sig_.size(); ++i)
-    for (std::uint32_t s : sig_[i])
-      axiomsOfSym[s].push_back(static_cast<std::uint32_t>(i));
+  SymbolLists inv;
+  inv.start.assign(nSyms + 1, 0);
+  for (const std::uint32_t s : lists.syms) ++inv.start[s + 1];
+  for (std::size_t s = 0; s < nSyms; ++s) inv.start[s + 1] += inv.start[s];
+  inv.syms.resize(lists.syms.size());
+  std::vector<std::uint32_t> fill(inv.start.begin(), inv.start.end() - 1);
+  for (std::size_t i = 0; i + 1 < lists.start.size(); ++i)
+    for (const std::uint32_t* s = lists.begin(i); s != lists.end(i); ++s)
+      inv.syms[fill[*s]++] = static_cast<std::uint32_t>(i);
+  return inv;
+}
+
+DynamicBitset BotModuleReach::reachingSymbols() const {
+  const SymbolLists axiomsOfSym = axiomsBySymbol(sig_);
 
   // Init: a symbol that can fire a seed axiom into a module reaches it.
   // Propagate: an axiom whose signature holds a reaching symbol imports
@@ -169,7 +183,7 @@ DynamicBitset BotModuleReach::reachingSymbols() const {
   // reaches too. Firing is single-symbol, so s reaches iff mod_⊥({s})
   // may contain a seed axiom, and a set of symbols reaches iff one of
   // its members does.
-  DynamicBitset reached(nSyms);
+  DynamicBitset reached(always_ + 1);
   std::vector<std::uint32_t> work;
   auto mark = [&reached, &work](std::uint32_t s) {
     if (!reached.test(s)) {
@@ -177,20 +191,55 @@ DynamicBitset BotModuleReach::reachingSymbols() const {
       work.push_back(s);
     }
   };
-  for (std::size_t i = 0; i < trig_.size(); ++i)
+  for (std::size_t i = 0; i < seed_.size(); ++i)
     if (seed_[i] != 0)
-      for (std::uint32_t s : trig_[i]) mark(s);
-  std::vector<std::uint8_t> fired(trig_.size(), 0);
+      for (const std::uint32_t* t = trig_.begin(i); t != trig_.end(i); ++t)
+        mark(*t);
+  std::vector<std::uint8_t> fired(seed_.size(), 0);
   while (!work.empty()) {
     const std::uint32_t s = work.back();
     work.pop_back();
-    for (std::uint32_t i : axiomsOfSym[s]) {
-      if (fired[i] != 0) continue;  // trigger already fully marked
-      fired[i] = 1;
-      for (std::uint32_t t : trig_[i]) mark(t);
+    for (const std::uint32_t* a = axiomsOfSym.begin(s);
+         a != axiomsOfSym.end(s); ++a) {
+      if (fired[*a] != 0) continue;  // trigger already fully marked
+      fired[*a] = 1;
+      for (const std::uint32_t* t = trig_.begin(*a); t != trig_.end(*a); ++t)
+        mark(*t);
     }
   }
   return reached;
+}
+
+BotModuleReach::Module BotModuleReach::moduleOf(
+    const std::vector<ConceptId>& concepts) const {
+  const SymbolLists axiomsOfTrig = axiomsBySymbol(trig_);
+
+  // Forward: a symbol entering the signature fires every axiom whose
+  // trigger holds it, and a fired axiom brings its whole signature in.
+  Module m;
+  m.axioms.assign(seed_.size(), 0);
+  m.signature = DynamicBitset(always_ + 1);
+  std::vector<std::uint32_t> work;
+  auto enter = [&m, &work](std::uint32_t s) {
+    if (!m.signature.test(s)) {
+      m.signature.set(s);
+      work.push_back(s);
+    }
+  };
+  enter(always_);
+  for (const ConceptId c : concepts) enter(c);
+  while (!work.empty()) {
+    const std::uint32_t s = work.back();
+    work.pop_back();
+    for (const std::uint32_t* a = axiomsOfTrig.begin(s);
+         a != axiomsOfTrig.end(s); ++a) {
+      if (m.axioms[*a] != 0) continue;
+      m.axioms[*a] = 1;
+      for (const std::uint32_t* t = sig_.begin(*a); t != sig_.end(*a); ++t)
+        enter(*t);
+    }
+  }
+  return m;
 }
 
 }  // namespace owlcl

@@ -1,12 +1,18 @@
 // ⊥-module reachability over told axioms (DESIGN.md §13, §14).
 //
-// One dangerous-symbol fixpoint with two callers:
+// Two fixpoints over one per-axiom trigger/signature relation:
 //
-//  * EL purity (owl/el_fragment.hpp): the seeds are the non-EL axioms; a
-//    concept is pure iff its ⊥-module reaches none of them.
-//  * The delta cone (core/incremental.hpp): the seeds are the changed
-//    axioms; a concept is in the cone iff its ⊥-module over old ∪ new
-//    reaches one of them.
+//  * reachingSymbols(), backward: which symbols' modules may contain a
+//    seed axiom.
+//    - EL purity (owl/el_fragment.hpp): the seeds are the non-EL axioms; a
+//      concept is pure iff its ⊥-module reaches none of them.
+//    - The delta cone (core/incremental.hpp): the seeds are the changed
+//      axioms; a concept is in the cone iff its ⊥-module over old ∪ new
+//      reaches one of them.
+//  * moduleOf(), forward: the axioms and signature of the ⊥-module of a
+//    concept set — the delta rerun saturates only the EL axioms of the
+//    cone's module and settles cone columns outside its signature
+//    (DESIGN.md §14).
 //
 // A concept's subsumers and satisfiability are decided by its syntactic
 // ⊥-locality module, so "the module reaches a seed axiom" is exactly the
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "owl/ids.hpp"
 #include "owl/tbox.hpp"
 #include "util/bitset.hpp"
 
@@ -46,13 +53,38 @@ class BotModuleReach {
   /// every ⊥-module) reaches a seed — then every module does.
   DynamicBitset reachingSymbols() const;
 
+  /// The ⊥-module of a concept set Σ: the closure of {Σ, always} under
+  /// firing. Every axiom outside it has a trigger disjoint from its
+  /// signature, so it is ⊥-local there: any model of the module, with the
+  /// symbols outside that signature made empty, is a model of all axioms
+  /// added.
+  struct Module {
+    std::vector<std::uint8_t> axioms;  // per added axiom, in addAxiom order
+    DynamicBitset signature;           // symbols, always() included
+  };
+  Module moduleOf(const std::vector<ConceptId>& concepts) const;
+
   std::uint32_t always() const { return always_; }
 
  private:
+  /// Flat per-axiom symbol lists: axiom i owns [start[i], start[i + 1]).
+  struct SymbolLists {
+    std::vector<std::uint32_t> syms;
+    std::vector<std::uint32_t> start{0};
+    const std::uint32_t* begin(std::size_t i) const {
+      return syms.data() + start[i];
+    }
+    const std::uint32_t* end(std::size_t i) const {
+      return syms.data() + start[i + 1];
+    }
+  };
+  /// Inverts `lists`: symbol s → the axioms whose list holds s.
+  SymbolLists axiomsBySymbol(const SymbolLists& lists) const;
+
   std::size_t concepts_;
   std::uint32_t always_;  // == concepts + roles
-  std::vector<std::vector<std::uint32_t>> trig_;
-  std::vector<std::vector<std::uint32_t>> sig_;
+  SymbolLists trig_;
+  SymbolLists sig_;
   std::vector<std::uint8_t> seed_;
 };
 

@@ -1,7 +1,6 @@
 #include "owl/printer.hpp"
 
 #include <ostream>
-#include <sstream>
 
 #include "util/strings.hpp"
 
@@ -12,6 +11,7 @@ namespace {
 // Bare names the class-expression grammar claims for itself — an entity
 // literally named one of these must be <>-bracketed to stay an atom.
 bool isGrammarKeyword(const std::string& name) {
+  if (name.empty() || (name[0] != 'o' && name[0] != 'O')) return false;
   return name == "owl:Thing" || name == "owl:Nothing" ||
          name == "ObjectIntersectionOf" || name == "ObjectUnionOf" ||
          name == "ObjectComplementOf" || name == "ObjectSomeValuesFrom" ||
@@ -37,6 +37,17 @@ bool bareNameSafe(const std::string& name) {
   return !isGrammarKeyword(name);
 }
 
+/// Appends fsEntityName(name) without a temporary.
+void appendEntityName(const std::string& name, std::string& out) {
+  if (bareNameSafe(name)) {
+    out += name;
+    return;
+  }
+  out += '<';
+  out += name;
+  out += '>';
+}
+
 void renderFs(const TBox& tbox, ExprId e, std::string& out) {
   const ExprFactory& f = tbox.exprs();
   const ExprNode& n = f.node(e);
@@ -48,7 +59,7 @@ void renderFs(const TBox& tbox, ExprId e, std::string& out) {
       out += "owl:Nothing";
       return;
     case ExprKind::kAtom:
-      out += fsEntityName(tbox.conceptName(n.atom));
+      appendEntityName(tbox.conceptName(n.atom), out);
       return;
     case ExprKind::kNot:
       out += "ObjectComplementOf(";
@@ -71,7 +82,7 @@ void renderFs(const TBox& tbox, ExprId e, std::string& out) {
     case ExprKind::kForall:
       out += n.kind == ExprKind::kExists ? "ObjectSomeValuesFrom("
                                          : "ObjectAllValuesFrom(";
-      out += fsEntityName(tbox.roles().name(n.role));
+      appendEntityName(tbox.roles().name(n.role), out);
       out += " ";
       renderFs(tbox, f.children(e)[0], out);
       out += ")";
@@ -82,7 +93,7 @@ void renderFs(const TBox& tbox, ExprId e, std::string& out) {
                                           : "ObjectMaxCardinality(";
       out += std::to_string(n.number);
       out += " ";
-      out += fsEntityName(tbox.roles().name(n.role));
+      appendEntityName(tbox.roles().name(n.role), out);
       out += " ";
       renderFs(tbox, f.children(e)[0], out);
       out += ")";
@@ -162,9 +173,9 @@ std::string toFunctionalSyntax(const TBox& tbox, const ToldAxiom& ax) {
   switch (ax.kind) {
     case AxiomKind::kSubClassOf:
       out += "SubClassOf(";
-      out += toFunctionalSyntax(tbox, ax.classArgs[0]);
+      renderFs(tbox, ax.classArgs[0], out);
       out += " ";
-      out += toFunctionalSyntax(tbox, ax.classArgs[1]);
+      renderFs(tbox, ax.classArgs[1], out);
       out += ")";
       break;
     case AxiomKind::kEquivalentClasses:
@@ -175,26 +186,26 @@ std::string toFunctionalSyntax(const TBox& tbox, const ToldAxiom& ax) {
       for (ExprId c : ax.classArgs) {
         if (!first) out += " ";
         first = false;
-        out += toFunctionalSyntax(tbox, c);
+        renderFs(tbox, c, out);
       }
       out += ")";
       break;
     }
     case AxiomKind::kSubObjectPropertyOf:
       out += "SubObjectPropertyOf(";
-      out += fsEntityName(tbox.roles().name(ax.role1));
+      appendEntityName(tbox.roles().name(ax.role1), out);
       out += " ";
-      out += fsEntityName(tbox.roles().name(ax.role2));
+      appendEntityName(tbox.roles().name(ax.role2), out);
       out += ")";
       break;
     case AxiomKind::kTransitiveObjectProperty:
       out += "TransitiveObjectProperty(";
-      out += fsEntityName(tbox.roles().name(ax.role1));
+      appendEntityName(tbox.roles().name(ax.role1), out);
       out += ")";
       break;
     case AxiomKind::kAnnotation:
       out += "AnnotationAssertion(rdfs:comment ";
-      out += toFunctionalSyntax(tbox, ax.classArgs[0]);
+      renderFs(tbox, ax.classArgs[0], out);
       out += " \"";
       out += ax.text;
       out += "\")";
@@ -203,23 +214,45 @@ std::string toFunctionalSyntax(const TBox& tbox, const ToldAxiom& ax) {
   return out;
 }
 
-void writeFunctionalSyntax(const TBox& tbox, std::ostream& out) {
-  out << "Ontology(<http://owlcl/generated>\n";
-  for (std::size_t c = 0; c < tbox.conceptCount(); ++c)
-    out << "  Declaration(Class("
-        << fsEntityName(tbox.conceptName(static_cast<ConceptId>(c))) << "))\n";
-  for (std::size_t r = 0; r < tbox.roles().size(); ++r)
-    out << "  Declaration(ObjectProperty("
-        << fsEntityName(tbox.roles().name(static_cast<RoleId>(r))) << "))\n";
+std::vector<std::string> renderStatementList(const TBox& tbox) {
+  std::vector<std::string> stmts;
+  stmts.reserve(tbox.conceptCount() + tbox.roles().size() +
+                tbox.toldAxioms().size());
+  const auto declaration = [&stmts](const char* head, const std::string& name) {
+    std::string& s = stmts.emplace_back(head);
+    appendEntityName(name, s);
+    s += "))";
+  };
+  for (ConceptId c = 0; c < tbox.conceptCount(); ++c)
+    declaration("Declaration(Class(", tbox.conceptName(c));
+  for (RoleId r = 0; r < tbox.roles().size(); ++r)
+    declaration("Declaration(ObjectProperty(", tbox.roles().name(r));
   for (const ToldAxiom& ax : tbox.toldAxioms())
-    out << "  " << toFunctionalSyntax(tbox, ax) << "\n";
-  out << ")\n";
+    stmts.push_back(toFunctionalSyntax(tbox, ax));
+  return stmts;
+}
+
+std::vector<std::string> statementsFromTBox(const TBox& tbox) {
+  return tbox.frozen() ? tbox.canonicalStatements()
+                       : renderStatementList(tbox);
+}
+
+std::string renderStatements(const std::vector<std::string>& stmts) {
+  std::size_t size = 0;
+  forEachDocumentPiece(stmts, [&size](std::string_view p) { size += p.size(); });
+  std::string doc;
+  doc.reserve(size);
+  forEachDocumentPiece(stmts, [&doc](std::string_view p) { doc += p; });
+  return doc;
+}
+
+void writeFunctionalSyntax(const TBox& tbox, std::ostream& out) {
+  out << toFunctionalSyntaxDocument(tbox);
 }
 
 std::string toFunctionalSyntaxDocument(const TBox& tbox) {
-  std::ostringstream ss;
-  writeFunctionalSyntax(tbox, ss);
-  return ss.str();
+  if (tbox.frozen()) return renderStatements(tbox.canonicalStatements());
+  return renderStatements(renderStatementList(tbox));
 }
 
 }  // namespace owlcl

@@ -1,5 +1,7 @@
 #include "owl/tbox.hpp"
 
+#include "owl/printer.hpp"
+
 namespace owlcl {
 
 ConceptId TBox::declareConcept(std::string_view name) {
@@ -97,6 +99,13 @@ std::size_t TBox::axiomCountOwl() const {
   // Declarations + logical axioms, matching how OWL tools (and the paper's
   // Table IV/V) count: one Declaration per entity plus each told axiom.
   return conceptNames_.size() + roles_.size() + told_.size();
+}
+
+const std::vector<std::string>& TBox::canonicalStatements() const {
+  OWLCL_ASSERT_MSG(frozen_, "canonicalStatements() needs a frozen TBox");
+  std::call_once(statementsOnce_,
+                 [this] { statements_ = renderStatementList(*this); });
+  return statements_;
 }
 
 }  // namespace owlcl

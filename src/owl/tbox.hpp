@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -91,6 +92,12 @@ class TBox {
   /// declarations), used for the Table IV/V "Axiom" column.
   std::size_t axiomCountOwl() const;
 
+  /// The canonical statement list of a frozen TBox (owl/printer.hpp,
+  /// statementsFromTBox), rendered on first use and shared by every later
+  /// caller: the delta cone, the content hash and the next commit's
+  /// statement list all read this one rendering. Thread-safe.
+  const std::vector<std::string>& canonicalStatements() const;
+
  private:
   std::vector<std::string> conceptNames_;
   std::unordered_map<std::string, ConceptId, std::hash<std::string>, std::equal_to<>>
@@ -100,6 +107,8 @@ class TBox {
   std::vector<ToldAxiom> told_;
   std::vector<SubClassAxiom> inclusions_;
   bool frozen_ = false;
+  mutable std::once_flag statementsOnce_;
+  mutable std::vector<std::string> statements_;
 };
 
 }  // namespace owlcl

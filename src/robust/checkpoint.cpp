@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include "owl/tbox.hpp"
 #include "robust/fault_injector.hpp"
 #include "robust/file_io.hpp"
+#include "util/assert.hpp"
 #include "util/bitset.hpp"
 #include "util/crc32.hpp"
 
@@ -33,17 +35,54 @@ constexpr char kSnapSuffix[] = ".snap";
 
 std::atomic<std::uint64_t> gSnapshotFileWrites{0};
 
-void putU32(std::vector<unsigned char>* out, std::uint32_t v) {
-  out->push_back(static_cast<unsigned char>(v));
-  out->push_back(static_cast<unsigned char>(v >> 8));
-  out->push_back(static_cast<unsigned char>(v >> 16));
-  out->push_back(static_cast<unsigned char>(v >> 24));
+/// The snapshot's word arrays are little-endian on disk: one bulk copy on
+/// a little-endian host, a per-word byte-order conversion elsewhere.
+void storeWordsLe(unsigned char* out, const std::uint64_t* words,
+                  std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count != 0) std::memcpy(out, words, count * 8);
+  } else {
+    for (std::size_t i = 0; i < count; ++i)
+      fileio::putU64(out + 8 * i, words[i]);
+  }
 }
 
-void putU64(std::vector<unsigned char>* out, std::uint64_t v) {
-  putU32(out, static_cast<std::uint32_t>(v));
-  putU32(out, static_cast<std::uint32_t>(v >> 32));
+void loadWordsLe(std::uint64_t* words, const unsigned char* in,
+                 std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count != 0) std::memcpy(words, in, count * 8);
+  } else {
+    for (std::size_t i = 0; i < count; ++i)
+      words[i] = fileio::getU64(in + 8 * i);
+  }
 }
+
+/// Little-endian writer into a buffer sized up front.
+class ByteWriter {
+ public:
+  explicit ByteWriter(unsigned char* p) : p_(p) {}
+
+  void u32(std::uint32_t v) {
+    fileio::putU32(p_, v);
+    p_ += 4;
+  }
+  void u64(std::uint64_t v) {
+    fileio::putU64(p_, v);
+    p_ += 8;
+  }
+  void bytes(const void* src, std::size_t n) {
+    if (n != 0) std::memcpy(p_, src, n);
+    p_ += n;
+  }
+  void words(const std::vector<std::uint64_t>& w) {
+    storeWordsLe(p_, w.data(), w.size());
+    p_ += 8 * w.size();
+  }
+  unsigned char* pos() const { return p_; }
+
+ private:
+  unsigned char* p_;
+};
 
 /// Bounds-checked little-endian reader over a byte buffer.
 class ByteReader {
@@ -67,6 +106,12 @@ class ByteReader {
     if (pos_ + n > size_) return false;
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
+    return true;
+  }
+  bool words(std::uint64_t* out, std::size_t n) {
+    if (n > (size_ - pos_) / 8) return false;
+    loadWordsLe(out, data_ + pos_, n);
+    pos_ += 8 * n;
     return true;
   }
   std::size_t pos() const { return pos_; }
@@ -157,13 +202,20 @@ bool readNewestListed(const std::string& dir,
 }  // namespace
 
 std::uint64_t ontologyContentHash(const TBox& tbox) {
-  const std::string doc = toFunctionalSyntaxDocument(tbox);
-  // FNV-1a 64: stable across platforms, no dependency on std::hash.
+  // FNV-1a 64 over the bytes of toFunctionalSyntaxDocument(tbox), fed from
+  // the statement list (rendered once per frozen TBox) without building
+  // the document: stable across platforms, no dependency on std::hash.
+  std::vector<std::string> fresh;
+  if (!tbox.frozen()) fresh = renderStatementList(tbox);
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char ch : doc) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ULL;
-  }
+  forEachDocumentPiece(
+      tbox.frozen() ? tbox.canonicalStatements() : fresh,
+      [&h](std::string_view bytes) {
+        for (const char ch : bytes) {
+          h ^= static_cast<unsigned char>(ch);
+          h *= 0x100000001b3ULL;
+        }
+      });
   return h;
 }
 
@@ -171,43 +223,50 @@ std::vector<unsigned char> encodeSnapshot(const ClassifierCheckpoint& ckpt,
                                           std::uint64_t ontologyHash,
                                           std::uint64_t seed) {
   const PkStoreImage& img = ckpt.store;
-  std::vector<unsigned char> out;
-  out.reserve(64 + 8 * (img.pWords.size() + img.kWords.size() +
-                        img.testedWords.size()) +
-              img.sat.size() + 20 * img.retries.size());
-  out.resize(sizeof kSnapMagic);
-  std::memcpy(out.data(), kSnapMagic, sizeof kSnapMagic);
-  putU32(&out, kSnapVersion);
-  putU32(&out, 0);  // flags
-  putU64(&out, ontologyHash);
-  putU64(&out, seed);
-  putU64(&out, ckpt.progress.epoch);
-  putU64(&out, ckpt.progress.completedCycles);
-  putU64(&out, ckpt.progress.completedRounds);
-  putU64(&out, img.conceptCount);
+  // One resize to the exact size, then sequential writes; the three
+  // matrices go in as bulk little-endian copies.
+  const std::size_t size =
+      sizeof kSnapMagic + 4 + 4 + 6 * 8 +
+      3 * 8 + 8 * (img.pWords.size() + img.kWords.size() +
+                   img.testedWords.size()) +
+      8 + img.sat.size() + 8 + 20 * img.retries.size() + 8 +
+      8 * img.unresolvedPairs.size() + 8 + 4 * img.unresolvedConcepts.size() +
+      8 + 8 + 4;
+  std::vector<unsigned char> out(size);
+  ByteWriter w(out.data());
+  w.bytes(kSnapMagic, sizeof kSnapMagic);
+  w.u32(kSnapVersion);
+  w.u32(0);  // flags
+  w.u64(ontologyHash);
+  w.u64(seed);
+  w.u64(ckpt.progress.epoch);
+  w.u64(ckpt.progress.completedCycles);
+  w.u64(ckpt.progress.completedRounds);
+  w.u64(img.conceptCount);
   for (const std::vector<std::uint64_t>* arr :
        {&img.pWords, &img.kWords, &img.testedWords}) {
-    putU64(&out, arr->size());
-    for (const std::uint64_t w : *arr) putU64(&out, w);
+    w.u64(arr->size());
+    w.words(*arr);
   }
-  putU64(&out, img.sat.size());
-  out.insert(out.end(), img.sat.begin(), img.sat.end());
-  putU64(&out, img.retries.size());
+  w.u64(img.sat.size());
+  w.bytes(img.sat.data(), img.sat.size());
+  w.u64(img.retries.size());
   for (const RetryImageEntry& e : img.retries) {
-    putU64(&out, e.key);
-    putU32(&out, e.attempts);
-    putU64(&out, e.retryAtRound);
+    w.u64(e.key);
+    w.u32(e.attempts);
+    w.u64(e.retryAtRound);
   }
-  putU64(&out, img.unresolvedPairs.size());
+  w.u64(img.unresolvedPairs.size());
   for (const auto& [x, y] : img.unresolvedPairs) {
-    putU32(&out, x);
-    putU32(&out, y);
+    w.u32(x);
+    w.u32(y);
   }
-  putU64(&out, img.unresolvedConcepts.size());
-  for (const ConceptId c : img.unresolvedConcepts) putU32(&out, c);
-  putU64(&out, img.totalFailures);
-  putU64(&out, img.possibleCount);
-  putU32(&out, crc32(out.data(), out.size()));
+  w.u64(img.unresolvedConcepts.size());
+  for (const ConceptId c : img.unresolvedConcepts) w.u32(c);
+  w.u64(img.totalFailures);
+  w.u64(img.possibleCount);
+  w.u32(crc32(out.data(), size - 4));
+  OWLCL_ASSERT(w.pos() == out.data() + size);
   return out;
 }
 
@@ -250,9 +309,9 @@ bool decodeSnapshot(const std::vector<unsigned char>& bytes,
     if (!r.u64(&count)) return fail("snapshot matrix truncated");
     if (count != expectedWords)
       return fail("snapshot matrix size inconsistent with concept count");
-    if (r.remaining() < count * 8) return fail("snapshot matrix truncated");
+    if (r.remaining() / 8 < count) return fail("snapshot matrix truncated");
     arr->resize(count);
-    for (std::uint64_t& w : *arr) r.u64(&w);
+    r.words(arr->data(), count);
   }
   std::uint64_t satCount = 0;
   if (!r.u64(&satCount)) return fail("snapshot sat array truncated");

@@ -321,6 +321,7 @@ bool recoverDeltaState(const std::string& walPath, std::uint64_t baseHash,
                  " rebuilds an unparseable ontology: " + why;
       return false;
     }
+    tbox.freeze();  // the hash and the statement list share one rendering
     const std::uint64_t hash = ontologyContentHash(tbox);
     if (hash != txn.newHash) {
       if (error != nullptr)

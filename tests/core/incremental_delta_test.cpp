@@ -20,6 +20,7 @@
 #include "core/real_executor.hpp"
 #include "elcore/el_reasoner.hpp"
 #include "gen/generator.hpp"
+#include "owl/el_fragment.hpp"
 #include "owl/parser.hpp"
 #include "owl/printer.hpp"
 #include "parallel/thread_pool.hpp"
@@ -108,6 +109,8 @@ std::vector<std::string> coneOf(const char* doc,
   EXPECT_TRUE(applyStagedOps(stmts, ops, &err)) << err;
   TBox newT;
   EXPECT_TRUE(buildTBoxFromStatements(stmts, newT, &err)) << err;
+  oldT.freeze();
+  newT.freeze();
   const ConeResult cone = computeAffectedCone(oldT, newT);
   if (full != nullptr) *full = cone;
   std::vector<std::string> names;
@@ -220,6 +223,8 @@ TEST(DeltaCone, UngroundedAxiomForcesFullCone) {
       << err;
   TBox newT;
   ASSERT_TRUE(buildTBoxFromStatements(stmts, newT, &err)) << err;
+  oldT.freeze();
+  newT.freeze();
   const ConeResult cone = computeAffectedCone(oldT, newT);
   EXPECT_TRUE(cone.fullCone);
   EXPECT_EQ(cone.cone.size(), newT.conceptCount());
@@ -790,22 +795,46 @@ INSTANTIATE_TEST_SUITE_P(Orders, DeltaInsertOrder,
 // must match a from-scratch classification of the same statements byte
 // for byte — the oracle for the ⊥-module cone and for routing that
 // settles only the reopened pairs.
-class DeltaSweep
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
+struct SweepCase {
+  std::uint64_t seed;
+  std::size_t workers;
+  std::size_t concepts36;  // ontology size in units of 36 concepts
 };
 
+// "(seed, workers)" at 36 concepts, "(seed, workers, concepts36)" wider:
+// the test names of the 36-concept cases predate the size parameter.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "(" << c.seed << ", " << c.workers;
+  if (c.concepts36 != 1) *os << ", " << c.concepts36;
+  *os << ")";
+}
+
+std::vector<SweepCase> sweepCases(std::initializer_list<std::uint64_t> seeds,
+                                  std::size_t concepts36) {
+  std::vector<SweepCase> cases;
+  for (const std::uint64_t seed : seeds)
+    for (const std::size_t workers : {1, 4})
+      cases.push_back({seed, workers, concepts36});
+  return cases;
+}
+
+class DeltaSweep : public ::testing::TestWithParam<SweepCase> {};
+
 TEST_P(DeltaSweep, EveryCommitMatchesFromScratch) {
-  const auto [seed, workers] = GetParam();
+  const auto [seed, workers, concepts36] = GetParam();
   GenConfig gc;
   gc.name = "sweep";
-  gc.concepts = 36;
-  gc.subClassEdges = 48;
-  gc.existentialAxioms = 10;
-  gc.universalAxioms = 4;
-  gc.equivalentAxioms = 3;
-  gc.disjointAxioms = 3;
+  gc.concepts = 36 * concepts36;
+  gc.subClassEdges = 48 * concepts36;
+  gc.existentialAxioms = 10 * concepts36;
+  gc.universalAxioms = 4 * concepts36;
+  gc.equivalentAxioms = 3 * concepts36;
+  gc.disjointAxioms = 3 * concepts36;
   gc.unsatConcepts = 1;
-  gc.nonElOnLeaves = seed % 2 == 0;  // some seeds keep most concepts pure
+  // Some seeds keep most concepts pure. The wide ontologies put the
+  // non-EL residual on backbone leaves, so cone modules are non-trivial
+  // and some new leaves land under impure parents.
+  gc.nonElOnLeaves = seed % 2 == 0 || concepts36 > 1;
   gc.seed = seed;
   const GeneratedOntology g = generateOntology(gc);
 
@@ -902,15 +931,23 @@ TEST_P(DeltaSweep, EveryCommitMatchesFromScratch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaSweep,
-                         ::testing::Combine(::testing::Values(1, 2, 3, 4),
-                                            ::testing::Values(1, 4)));
+                         ::testing::ValuesIn(sweepCases({1, 2, 3, 4}, 1)));
+// Three times as wide, with the non-EL residual on backbone leaves.
+INSTANTIATE_TEST_SUITE_P(Wide, DeltaSweep,
+                         ::testing::ValuesIn(sweepCases({5, 6}, 3)));
 
 // A leaf added under an impure parent (its ⊥-module reaches a ∀ axiom) is
-// impure itself, so routing settles none of its pairs and the tableau
-// decides them. Only its column — who subsumes the leaf — can hold a
-// subsumption: no concept outside the one-concept cone is subsumed by a
+// impure itself, so routing settles none of its negatives and the tableau
+// decides what is left. Only its column — who subsumes the leaf — can hold
+// a subsumption: no concept outside the one-concept cone is subsumed by a
 // new name, so its row is settled without a test.
-TEST(DeltaReclassify, LeafUnderImpureParentRetestsOnlyItsColumn) {
+struct ImpureLeafCommit {
+  std::size_t concepts = 0;  // before the commit
+  DeltaCommitInfo info;
+  ConeResult cone;           // recomputed over the committed generation
+};
+
+void commitImpureLeaf(ImpureLeafCommit* out) {
   GenConfig gc;
   gc.name = "impure";
   gc.concepts = 120;
@@ -931,21 +968,97 @@ TEST(DeltaReclassify, LeafUnderImpureParentRetestsOnlyItsColumn) {
   std::string err;
   ASSERT_TRUE(buildTBoxFromStatements(stmts, rig.tbox, &err)) << err;
   rig.classifyBase();
-  const std::size_t n = rig.tbox.conceptCount();
+  out->concepts = rig.tbox.conceptCount();
   auto delta = rig.makeDelta();
 
-  DeltaCommitInfo info;
   ASSERT_TRUE(delta->beginTxn(&err)) << err;
   ASSERT_TRUE(delta->stageAdd("Declaration(Class(ImpureLeaf))", &err)) << err;
   ASSERT_TRUE(delta->stageAdd("SubClassOf(ImpureLeaf " + parent + ")", &err))
       << err;
-  ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
-  EXPECT_EQ(info.coneSize, 1u);
+  ASSERT_TRUE(delta->commitTxn(&out->info, &err)) << err;
+  EXPECT_EQ(out->info.coneSize, 1u);
   EXPECT_EQ(rig.generationTaxonomy(*delta),
             rig.scratchTaxonomy(delta->statements()));
+  out->cone = computeAffectedCone(rig.tbox, *delta->generation().tbox);
+}
+
+TEST(DeltaReclassify, LeafUnderImpureParentRetestsOnlyItsColumn) {
+  ImpureLeafCommit c;
+  ASSERT_NO_FATAL_FAILURE(commitImpureLeaf(&c));
+  const std::size_t n = c.concepts;
   // Reopening the leaf's whole row as well took 238 tests here (about 2n);
   // the column alone is at most n.
-  EXPECT_LE(info.subsumptionTests, n);
+  EXPECT_LE(c.info.subsumptionTests, n);
+}
+
+// The module-signature rule settles the leaf's column outside the
+// signature of its ⊥-module once the leaf is known satisfiable: every
+// axiom outside the module is ⊥-local, so a model may make every concept
+// outside that signature empty.
+TEST(DeltaReclassify, ImpureLeafTestsOnlyItsModuleSignature) {
+  ImpureLeafCommit c;
+  ASSERT_NO_FATAL_FAILURE(commitImpureLeaf(&c));
+  ASSERT_FALSE(c.cone.fullCone);
+  const std::size_t signature = c.cone.moduleConcepts.count();
+  EXPECT_LT(signature, c.concepts / 4);  // a backbone path, not the ontology
+  EXPECT_LE(c.info.satTests + c.info.subsumptionTests, signature);
+}
+
+// A leaf commit saturates the EL axioms of its cone's ⊥-module, not the
+// whole EL fragment.
+TEST(DeltaReclassify, LeafCommitSaturatesOnlyItsModule) {
+  GenConfig gc;
+  gc.name = "modsat";
+  gc.concepts = 200;
+  gc.subClassEdges = 260;
+  gc.existentialAxioms = 40;
+  gc.universalAxioms = 10;
+  gc.nonElOnLeaves = true;
+  gc.seed = 23;
+  const GeneratedOntology g = generateOntology(gc);
+
+  ClassifierConfig cfg;
+  cfg.routeEl = ElRouting::kOn;
+  Rig rig(2, cfg);
+  std::string err;
+  ASSERT_TRUE(buildTBoxFromStatements(statementsFromTBox(*g.tbox), rig.tbox,
+                                      &err))
+      << err;
+  rig.classifyBase();
+  const std::uint64_t fragment = rig.result.routedAxioms;
+  auto delta = rig.makeDelta();
+
+  const std::string axiom =
+      "SubClassOf(NewLeaf " +
+      fsEntityName(rig.tbox.conceptName(rig.tbox.conceptCount() - 1)) + ")";
+  for (const bool add : {true, false}) {
+    const DeltaGeneration pre = delta->generation();
+    DeltaCommitInfo info;
+    ASSERT_TRUE(delta->beginTxn(&err)) << err;
+    if (add) {
+      ASSERT_TRUE(delta->stageAdd("Declaration(Class(NewLeaf))", &err)) << err;
+    }
+    ASSERT_TRUE(add ? delta->stageAdd(axiom, &err)
+                    : delta->stageRetract(axiom, &err))
+        << err;
+    ASSERT_TRUE(delta->commitTxn(&info, &err)) << err;
+    const DeltaGeneration post = delta->generation();
+    EXPECT_EQ(rig.generationTaxonomy(*delta),
+              rig.scratchTaxonomy(delta->statements()));
+
+    const ConeResult cone = computeAffectedCone(*pre.tbox, *post.tbox);
+    ASSERT_FALSE(cone.fullCone);
+    std::uint64_t moduleEl = 0;
+    for (std::size_t i = 0; i < cone.moduleAxioms.size(); ++i) {
+      const ToldAxiom& ax = post.tbox->toldAxioms()[i];
+      if (cone.moduleAxioms[i] != 0 && ax.kind != AxiomKind::kAnnotation &&
+          isElSafeAxiom(*post.tbox, ax))
+        ++moduleEl;
+    }
+    EXPECT_GT(post.result->routedAxioms, 0u);
+    EXPECT_LE(post.result->routedAxioms, moduleEl);
+    EXPECT_LT(post.result->routedAxioms, fragment / 4);
+  }
 }
 
 }  // namespace

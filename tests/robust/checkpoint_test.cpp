@@ -12,13 +12,16 @@
 #include <sstream>
 #include <vector>
 
+#include "core/incremental.hpp"
 #include "core/parallel_classifier.hpp"
 #include "core/real_executor.hpp"
 #include "gen/generator.hpp"
 #include "gen/mock_reasoner.hpp"
 #include "robust/journal.hpp"
 #include "support/test_dir.hpp"
+#include "owl/printer.hpp"
 #include "util/crc32.hpp"
+#include "util/rng.hpp"
 
 namespace owlcl {
 namespace {
@@ -225,6 +228,106 @@ TEST(SnapshotCodec, EncodingIsPinned) {
   EXPECT_EQ(h, 0x59992228c2bf8791ULL);
 }
 
+// The encoder as it was before the word arrays went in as bulk copies:
+// every field appended one byte at a time, little-endian.
+std::vector<unsigned char> referenceEncode(const ClassifierCheckpoint& ckpt,
+                                           std::uint64_t hash,
+                                           std::uint64_t seed) {
+  std::vector<unsigned char> out;
+  const auto u32 = [&out](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i)
+      out.push_back(static_cast<unsigned char>(v >> (8 * i)));
+  };
+  const auto u64 = [&u32](std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v));
+    u32(static_cast<std::uint32_t>(v >> 32));
+  };
+  const PkStoreImage& img = ckpt.store;
+  for (const char c : {'O', 'W', 'L', 'S', 'N', 'A', 'P', '1'})
+    out.push_back(static_cast<unsigned char>(c));
+  u32(1);  // version
+  u32(0);  // flags
+  u64(hash);
+  u64(seed);
+  u64(ckpt.progress.epoch);
+  u64(ckpt.progress.completedCycles);
+  u64(ckpt.progress.completedRounds);
+  u64(img.conceptCount);
+  for (const std::vector<std::uint64_t>* arr :
+       {&img.pWords, &img.kWords, &img.testedWords}) {
+    u64(arr->size());
+    for (const std::uint64_t w : *arr) u64(w);
+  }
+  u64(img.sat.size());
+  for (const std::uint8_t b : img.sat) out.push_back(b);
+  u64(img.retries.size());
+  for (const RetryImageEntry& e : img.retries) {
+    u64(e.key);
+    u32(e.attempts);
+    u64(e.retryAtRound);
+  }
+  u64(img.unresolvedPairs.size());
+  for (const auto& [x, y] : img.unresolvedPairs) {
+    u32(x);
+    u32(y);
+  }
+  u64(img.unresolvedConcepts.size());
+  for (const ConceptId c : img.unresolvedConcepts) u32(c);
+  u64(img.totalFailures);
+  u64(img.possibleCount);
+  u32(crc32(out.data(), out.size()));
+  return out;
+}
+
+/// A random image of n concepts with every section populated (none of
+/// the concept-indexed ones at n = 0).
+ClassifierCheckpoint randomCheckpoint(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  ClassifierCheckpoint c;
+  c.progress = {rng() % 9, rng() % 9, rng() % 99};
+  PkStoreImage& img = c.store;
+  img.conceptCount = n;
+  const std::size_t wpr = (n + 63) / 64;
+  const std::uint64_t tail =
+      n % 64 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (n % 64)) - 1;
+  for (std::vector<std::uint64_t>* arr :
+       {&img.pWords, &img.kWords, &img.testedWords}) {
+    arr->resize(n * wpr);
+    for (std::size_t i = 0; i < arr->size(); ++i)
+      (*arr)[i] = rng() & (i % wpr + 1 == wpr ? tail : ~std::uint64_t{0});
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    img.sat.push_back(static_cast<std::uint8_t>(rng() % 3));
+  for (std::size_t i = 0; i < 3; ++i)
+    img.retries.push_back(
+        {rng(), static_cast<std::uint32_t>(rng()), rng()});
+  for (std::size_t i = 0; n > 0 && i < 4; ++i) {
+    img.unresolvedPairs.emplace_back(static_cast<ConceptId>(rng() % n),
+                                     static_cast<ConceptId>(rng() % n));
+    img.unresolvedConcepts.push_back(static_cast<ConceptId>(rng() % n));
+  }
+  img.totalFailures = rng();
+  img.possibleCount = popcountWords(img.pWords.data(), img.pWords.size());
+  return c;
+}
+
+TEST(SnapshotCodec, BulkWordCopiesMatchThePerByteEncoder) {
+  for (const std::size_t n : {0, 1, 64, 65}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const ClassifierCheckpoint ckpt = randomCheckpoint(n, n * 31 + seed);
+      const std::vector<unsigned char> bytes =
+          encodeSnapshot(ckpt, 0xABCD + seed, seed);
+      EXPECT_EQ(bytes, referenceEncode(ckpt, 0xABCD + seed, seed))
+          << "n = " << n << ", seed " << seed;
+      ClassifierCheckpoint back;
+      std::string err;
+      ASSERT_TRUE(decodeSnapshot(bytes, 0xABCD + seed, seed, &back, &err))
+          << err;
+      expectEqual(ckpt, back);
+    }
+  }
+}
+
 TEST(SnapshotCodec, EverySingleBitFlipIsRejected) {
   // A small image keeps the exhaustive sweep cheap: every bit of the file
   // is covered by the CRC (or breaks the magic), so every flip must fail.
@@ -295,6 +398,76 @@ TEST(SnapshotCodec, FileRoundTripIsAtomic) {
   ClassifierCheckpoint back;
   ASSERT_TRUE(readSnapshotFile(path, 11, 12, &back, &err)) << err;
   expectEqual(ckpt, back);
+}
+
+// --- ontology content hash ----------------------------------------------------
+
+// The document exactly as writeFunctionalSyntax streamed it before the
+// statement list was cached on the TBox: existing checkpoint directories
+// carry FNV-1a hashes of these bytes.
+std::string streamedDocument(const TBox& tbox) {
+  std::ostringstream out;
+  out << "Ontology(<http://owlcl/generated>\n";
+  for (std::size_t c = 0; c < tbox.conceptCount(); ++c)
+    out << "  Declaration(Class("
+        << fsEntityName(tbox.conceptName(static_cast<ConceptId>(c))) << "))\n";
+  for (std::size_t r = 0; r < tbox.roles().size(); ++r)
+    out << "  Declaration(ObjectProperty("
+        << fsEntityName(tbox.roles().name(static_cast<RoleId>(r))) << "))\n";
+  for (const ToldAxiom& ax : tbox.toldAxioms())
+    out << "  " << toFunctionalSyntax(tbox, ax) << "\n";
+  out << ")\n";
+  return out.str();
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : bytes) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ContentHash, CachedRenderHashesTheStreamedDocument) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    GenConfig gc;
+    gc.name = "hash";
+    gc.concepts = 60;
+    gc.subClassEdges = 80;
+    gc.existentialAxioms = 12;
+    gc.universalAxioms = 5;
+    gc.qcrAxioms = 4;
+    gc.equivalentAxioms = 3;
+    gc.disjointAxioms = 3;
+    gc.annotationAxioms = 10;
+    gc.unsatConcepts = 1;
+    gc.roleHierarchy = true;
+    gc.transitiveRoles = true;
+    gc.seed = seed;
+    const GeneratedOntology g = generateOntology(gc);
+    // IRI names (bracketed when rendered) next to the generated ones.
+    std::vector<std::string> stmts = statementsFromTBox(*g.tbox);
+    const std::string iri = "<http://example.org/onto#Iri" +
+                            std::to_string(seed) + ">";
+    stmts.push_back("Declaration(Class(" + iri + "))");
+    stmts.push_back("Declaration(ObjectProperty(<http://example.org/onto#p>))");
+    stmts.push_back("SubClassOf(" + iri +
+                    " ObjectSomeValuesFrom(<http://example.org/onto#p> " +
+                    fsEntityName(g.tbox->conceptName(0)) + "))");
+    stmts.push_back("AnnotationAssertion(rdfs:comment " + iri +
+                    " \"an IRI-named concept\")");
+    TBox tbox;
+    std::string err;
+    ASSERT_TRUE(buildTBoxFromStatements(stmts, tbox, &err)) << err;
+
+    const std::string doc = streamedDocument(tbox);
+    EXPECT_EQ(ontologyContentHash(tbox), fnv1a(doc));  // rendered afresh
+    tbox.freeze();
+    EXPECT_EQ(toFunctionalSyntaxDocument(tbox), doc);  // cached list
+    EXPECT_EQ(ontologyContentHash(tbox), fnv1a(doc));
+    EXPECT_EQ(ontologyContentHash(*g.tbox), fnv1a(streamedDocument(*g.tbox)));
+  }
 }
 
 // --- journal replay onto an image -------------------------------------------
